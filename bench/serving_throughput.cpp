@@ -161,9 +161,9 @@ int main(int argc, char** argv) {
       std::vector<TensorF> seq_outputs;
       double seq_sim_s = 0.0;
       for (const auto& in : inputs) {
-        auto res = engine.submit(name, in);
+        auto res = engine.submit(serving::ServeRequest::f32(name, {in}));
         seq_sim_s += res.sim_time_s;
-        seq_outputs.push_back(std::move(res.output));
+        seq_outputs.push_back(std::move(res.outputs_f32.front()));
       }
       const double seq_wall_s = seconds_since(t0);
 

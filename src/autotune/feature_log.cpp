@@ -1,28 +1,17 @@
 #include "autotune/feature_log.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "autotune/jsonl.hpp"
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 
 namespace fcm::autotune {
 
 namespace {
 
-using jsonl::FieldReader;
-using jsonl::LineScanner;
 using jsonl::fmt_double_rt;
 using jsonl::json_string;
-
-constexpr const char* kContext = "feature log";
-
-DType dtype_from_log(const std::string& name, const LineScanner& scanner) {
-  if (name == "fp32") return DType::kF32;
-  if (name == "int8") return DType::kI8;
-  scanner.fail("dtype must be \"fp32\" or \"int8\", got \"" + name + "\"");
-}
 
 std::string feature_key(std::size_t i) { return "f" + std::to_string(i); }
 
@@ -53,60 +42,44 @@ std::string serialize_feature_log(const FeatureLog& log) {
 }
 
 FeatureLog parse_feature_log(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
   FeatureLog log;
   bool have_header = false;
   std::uint64_t declared = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    LineScanner scanner(line, line_no, kContext);
-    FieldReader fields(scanner.object(), scanner);
+  jsonl::for_each_object(text, "feature log", [&](jsonl::FieldReader& fields) {
     if (!have_header) {
-      const std::uint64_t version = fields.u64("fcm_features");
-      if (version != static_cast<std::uint64_t>(kFeatureLogVersion)) {
-        scanner.fail("unsupported feature-log version " +
-                     std::to_string(version) + " (this build reads version " +
-                     std::to_string(kFeatureLogVersion) + ")");
-      }
+      fields.require_version("fcm_features", kFeatureLogVersion,
+                             "feature-log");
       const std::uint64_t width = fields.u64("width");
       if (width != static_cast<std::uint64_t>(kNumFeatures)) {
-        scanner.fail("feature width " + std::to_string(width) +
-                     " does not match this build's schema (" +
-                     std::to_string(kNumFeatures) + ")");
+        fields.fail("feature width " + std::to_string(width) +
+                    " does not match this build's schema (" +
+                    std::to_string(kNumFeatures) + ")");
       }
       declared = fields.u64("records");
       fields.check_no_unknown();
       have_header = true;
-      continue;
+      return;
     }
     FeatureRecord r;
     r.source = fields.string("source");
     if (r.source != "plan" && r.source != "execute") {
-      scanner.fail("source must be \"plan\" or \"execute\", got \"" +
-                   r.source + "\"");
+      fields.fail("source must be \"plan\" or \"execute\", got \"" +
+                  r.source + "\"");
     }
     r.model = fields.string("model");
     r.device = fields.string("device");
-    r.dtype = dtype_from_log(fields.string("dtype"), scanner);
-    const double b = fields.number("batch");
-    if (b < 1.0 || b != static_cast<double>(static_cast<int>(b))) {
-      scanner.fail("batch must be an integer >= 1");
-    }
-    r.batch = static_cast<int>(b);
+    r.dtype = fields.dtype("dtype");
+    r.batch = fields.integer("batch", 1);
     r.predicted_s = fields.number("predicted");
-    if (r.predicted_s < 0.0) scanner.fail("predicted must be >= 0");
+    if (r.predicted_s < 0.0) fields.fail("predicted must be >= 0");
     r.executed_s = fields.number("executed");
-    if (r.executed_s < 0.0) scanner.fail("executed must be >= 0");
+    if (r.executed_s < 0.0) fields.fail("executed must be >= 0");
     for (std::size_t i = 0; i < kNumFeatures; ++i) {
       r.features[i] = fields.number(feature_key(i).c_str());
     }
     fields.check_no_unknown();
     log.records.push_back(std::move(r));
-  }
+  });
   if (!have_header) {
     throw Error(
         "feature log: missing header line ({\"fcm_features\": 1, \"width\": "
@@ -122,22 +95,11 @@ FeatureLog parse_feature_log(const std::string& text) {
 }
 
 FeatureLog load_feature_log_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  FCM_CHECK(is.good(), "feature log: cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  try {
-    return parse_feature_log(buf.str());
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " [" + path + "]");
-  }
+  return jsonl::load_file(path, "feature log", parse_feature_log);
 }
 
 void save_feature_log_file(const FeatureLog& log, const std::string& path) {
-  std::ofstream os(path, std::ios::trunc | std::ios::binary);
-  FCM_CHECK(os.good(), "feature log: cannot write '" + path + "'");
-  os << serialize_feature_log(log);
-  FCM_CHECK(os.good(), "feature log: write to '" + path + "' failed");
+  jsonl::save_file(path, serialize_feature_log(log), "feature log");
 }
 
 void FeatureCollector::record(FeatureRecord r) {

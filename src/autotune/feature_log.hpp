@@ -2,10 +2,11 @@
 //
 // One JSONL file: a header line declaring the schema version, feature width
 // and record count, then one flat JSON object per record carrying the plan's
-// feature vector plus the predicted and executed sim seconds. Same strict
-// scanner discipline as src/workload/trace: unknown keys, duplicate keys,
-// version/width mismatches and count mismatches are hard parse errors —
-// a silently reinterpreted training set is worse than a rejected one.
+// feature vector plus the predicted and executed sim seconds. Parsed by the
+// same strict scanner as src/workload/trace (common/jsonl.hpp): unknown
+// keys, duplicate keys, out-of-range numbers, version/width mismatches and
+// count mismatches are hard parse errors — a silently reinterpreted
+// training set is worse than a rejected one.
 //
 // Records come from two seams:
 //   * "plan"    — a cold plan-cache miss that ran the planner (executed = 0;

@@ -1,13 +1,11 @@
 #include "autotune/fit.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "autotune/jsonl.hpp"
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 
 namespace fcm::autotune {
 
@@ -81,7 +79,6 @@ FitResult fit_cost_model(const FeatureLog& log, const FitOptions& opt) {
   double xtx[N][N] = {};
   double xty[N] = {};
   FitResult res;
-  double abs_err_analytical = 0.0;
   for (const FeatureRecord& r : log.records) {
     if (r.source != "execute") continue;
     for (std::size_t i = 0; i < N; ++i) {
@@ -90,7 +87,6 @@ FitResult fit_cost_model(const FeatureLog& log, const FitOptions& opt) {
       }
       xty[i] += r.features[i] * r.executed_s;
     }
-    abs_err_analytical += std::fabs(r.predicted_s - r.executed_s);
     ++res.records_used;
   }
   FCM_CHECK(res.records_used > 0,
@@ -104,14 +100,8 @@ FitResult fit_cost_model(const FeatureLog& log, const FitOptions& opt) {
     xtx[i][i] += opt.lambda * xtx[i][i] + kEps;
   }
   res.weights = solve(xtx, xty);
-
-  double abs_err_fit = 0.0;
-  for (const FeatureRecord& r : log.records) {
-    if (r.source != "execute") continue;
-    abs_err_fit += std::fabs(dot(res.weights, r.features) - r.executed_s);
-  }
-  res.mae_analytical = abs_err_analytical / static_cast<double>(res.records_used);
-  res.mae_calibrated = abs_err_fit / static_cast<double>(res.records_used);
+  res.mae_analytical = mean_abs_error_analytical(log);
+  res.mae_calibrated = mean_abs_error(res.weights, log);
   return res;
 }
 
@@ -152,39 +142,23 @@ std::string serialize_cost_model(const FeatureVector& weights) {
 }
 
 FeatureVector parse_cost_model(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
   bool parsed = false;
   FeatureVector weights{};
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    if (parsed) {
-      throw Error("cost model line " + std::to_string(line_no) +
-                  ": trailing content after the model object");
-    }
-    jsonl::LineScanner scanner(line, line_no, "cost model");
-    jsonl::FieldReader fields(scanner.object(), scanner);
-    const std::uint64_t version = fields.u64("fcm_cost_model");
-    if (version != static_cast<std::uint64_t>(kCostModelVersion)) {
-      scanner.fail("unsupported cost-model version " +
-                   std::to_string(version) + " (this build reads version " +
-                   std::to_string(kCostModelVersion) + ")");
-    }
+  jsonl::for_each_object(text, "cost model", [&](jsonl::FieldReader& fields) {
+    if (parsed) fields.fail("trailing content after the model object");
+    fields.require_version("fcm_cost_model", kCostModelVersion, "cost-model");
     const std::uint64_t width = fields.u64("width");
     if (width != static_cast<std::uint64_t>(kNumFeatures)) {
-      scanner.fail("feature width " + std::to_string(width) +
-                   " does not match this build's schema (" +
-                   std::to_string(kNumFeatures) + ")");
+      fields.fail("feature width " + std::to_string(width) +
+                  " does not match this build's schema (" +
+                  std::to_string(kNumFeatures) + ")");
     }
     for (std::size_t i = 0; i < kNumFeatures; ++i) {
       weights[i] = fields.number(feature_name(i));
     }
     fields.check_no_unknown();
     parsed = true;
-  }
+  });
   if (!parsed) {
     throw Error("cost model: missing model line ({\"fcm_cost_model\": 1, ...})");
   }
@@ -192,23 +166,12 @@ FeatureVector parse_cost_model(const std::string& text) {
 }
 
 FeatureVector load_cost_model_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  FCM_CHECK(is.good(), "cost model: cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  try {
-    return parse_cost_model(buf.str());
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " [" + path + "]");
-  }
+  return jsonl::load_file(path, "cost model", parse_cost_model);
 }
 
 void save_cost_model_file(const FeatureVector& weights,
                           const std::string& path) {
-  std::ofstream os(path, std::ios::trunc | std::ios::binary);
-  FCM_CHECK(os.good(), "cost model: cannot write '" + path + "'");
-  os << serialize_cost_model(weights);
-  FCM_CHECK(os.good(), "cost model: write to '" + path + "' failed");
+  jsonl::save_file(path, serialize_cost_model(weights), "cost model");
 }
 
 std::shared_ptr<const planner::CostModel> make_calibrated_cost_model(

@@ -1,12 +1,15 @@
-#include "autotune/jsonl.hpp"
+#include "common/jsonl.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
+#include <sstream>
 
-#include "common/error.hpp"
-
-namespace fcm::autotune::jsonl {
+namespace fcm::jsonl {
 
 std::string fmt_double_rt(double v) {
   char buf[40];
@@ -28,7 +31,7 @@ std::string json_string(const std::string& s) {
       case '\r': out += "\\r"; break;
       default:
         FCM_CHECK(static_cast<unsigned char>(c) >= 0x20,
-                  "autotune: control character in string field");
+                  "jsonl: control character in string field");
         out += c;
     }
   }
@@ -128,6 +131,8 @@ FieldValue LineScanner::value() {
   if (end != v.raw.c_str() + v.raw.size()) {
     fail("malformed number '" + v.raw + "'");
   }
+  // strtod overflows to ±inf; no format stores an infinity.
+  if (!std::isfinite(v.num)) fail("number out of range '" + v.raw + "'");
   return v;
 }
 
@@ -139,23 +144,55 @@ double FieldReader::number(const char* key) {
 
 std::uint64_t FieldReader::u64(const char* key) {
   // Re-parse the raw token: a 64-bit integer must not round-trip through the
-  // scanner's double (2^53 would silently truncate it).
+  // scanner's double (2^53 would silently truncate it), and a token past
+  // UINT64_MAX must not clamp to it.
   const FieldValue& v = require(key);
   if (v.is_string || v.raw.find_first_of(".eE-+") != std::string::npos) {
-    scanner_.fail(std::string(key) + " must be a non-negative integer");
+    scanner_.fail(std::string(key) + " must be a non-negative 64-bit integer");
   }
   char* end = nullptr;
+  errno = 0;
   const std::uint64_t x = std::strtoull(v.raw.c_str(), &end, 10);
-  if (end != v.raw.c_str() + v.raw.size()) {
-    scanner_.fail(std::string(key) + " must be a non-negative integer");
+  if (end != v.raw.c_str() + v.raw.size() || errno == ERANGE) {
+    scanner_.fail(std::string(key) + " must be a non-negative 64-bit integer");
   }
   return x;
+}
+
+int FieldReader::integer(const char* key, int min) {
+  const double x = number(key);
+  // Range before the cast: converting an out-of-range double to int is
+  // undefined behaviour.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  if (!(x >= min && x <= kMax) || x != std::floor(x)) {
+    scanner_.fail(std::string(key) + " must be an integer in " +
+                  std::to_string(min) + ".." + std::to_string(kMax));
+  }
+  return static_cast<int>(x);
 }
 
 std::string FieldReader::string(const char* key) {
   const FieldValue& v = require(key);
   if (!v.is_string) scanner_.fail(std::string(key) + " must be a string");
   return v.str;
+}
+
+DType FieldReader::dtype(const char* key) {
+  const std::string name = string(key);
+  if (name == "fp32") return DType::kF32;
+  if (name == "int8") return DType::kI8;
+  scanner_.fail(std::string(key) + " must be \"fp32\" or \"int8\", got \"" +
+                name + "\"");
+}
+
+void FieldReader::require_version(const char* key, std::uint64_t version,
+                                  const std::string& what) {
+  const std::uint64_t v = u64(key);
+  if (v != version) {
+    scanner_.fail("unsupported " + what + " version " + std::to_string(v) +
+                  " (this build reads version " + std::to_string(version) +
+                  ")");
+  }
 }
 
 void FieldReader::check_no_unknown() const {
@@ -180,4 +217,35 @@ const FieldValue& FieldReader::require(const char* key) {
   return *v;
 }
 
-}  // namespace fcm::autotune::jsonl
+void for_each_object(const std::string& text, const std::string& context,
+                     const std::function<void(FieldReader&)>& on_object) {
+  std::istringstream is(text);
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(is, line)) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.find_first_not_of(" \t") == std::string::npos) continue;
+    LineScanner scanner(line, line_no, context);
+    FieldReader fields(scanner.object(), scanner);
+    on_object(fields);
+  }
+}
+
+std::string read_file(const std::string& path, const std::string& what) {
+  std::ifstream is(path, std::ios::binary);
+  FCM_CHECK(is.good(), what + ": cannot open '" + path + "'");
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+void save_file(const std::string& path, const std::string& text,
+               const std::string& what) {
+  std::ofstream os(path, std::ios::trunc | std::ios::binary);
+  FCM_CHECK(os.good(), what + ": cannot write '" + path + "'");
+  os << text;
+  FCM_CHECK(os.good(), what + ": write to '" + path + "' failed");
+}
+
+}  // namespace fcm::jsonl

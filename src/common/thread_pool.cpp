@@ -16,11 +16,13 @@ thread_local bool t_on_worker = false;
 std::atomic<ThreadPool*> g_override{nullptr};
 }  // namespace
 
-ThreadPool::ThreadPool(unsigned threads) {
+ThreadPool::ThreadPool(unsigned threads)
+    : ThreadPool(threads, obs::MetricsRegistry::global()) {}
+
+ThreadPool::ThreadPool(unsigned threads, obs::MetricsRegistry& reg) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  auto& reg = obs::MetricsRegistry::global();
   m_.tasks = &reg.counter_family("fcm_pool_tasks_total",
                                  "Tasks executed by thread-pool workers", {})
                   .get();
@@ -136,7 +138,9 @@ void ThreadPool::parallel_for(std::int64_t count,
 
 ThreadPool& ThreadPool::global() {
   if (ThreadPool* p = g_override.load(std::memory_order_acquire)) return *p;
-  static ThreadPool pool;
+  // Bound to the process registry even when first used under a test's
+  // registry override: the pool outlives that registry.
+  static ThreadPool pool(0, obs::MetricsRegistry::process());
   return pool;
 }
 

@@ -68,6 +68,10 @@ class ThreadPool {
     std::function<void()> fn;
   };
 
+  /// Binds the metric handles to `registry`: the public constructor passes
+  /// MetricsRegistry::global(), global() the process registry.
+  ThreadPool(unsigned threads, obs::MetricsRegistry& registry);
+
   void worker_loop() EXCLUDES(mu_);
 
   /// Registry handles (process-wide totals across every pool), bound once at

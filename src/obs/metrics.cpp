@@ -420,6 +420,10 @@ MetricsRegistry& MetricsRegistry::global() {
       o != nullptr) {
     return *o;
   }
+  return process();
+}
+
+MetricsRegistry& MetricsRegistry::process() {
   // Leaked: instrumentation sites in static-destruction order stay safe.
   static MetricsRegistry* const g = new MetricsRegistry();
   return *g;

@@ -281,6 +281,9 @@ class MetricsRegistry {
   /// The process-wide registry (leaked — safe during static destruction),
   /// unless a test installed an override.
   static MetricsRegistry& global();
+  /// The process-wide registry whatever override is installed — for
+  /// process-lifetime objects whose handles must outlive every override.
+  static MetricsRegistry& process();
   /// Install/remove a registry override; returns the previous override.
   /// Prefer ScopedRegistryOverride.
   static MetricsRegistry* set_global_override(MetricsRegistry* reg);

@@ -318,19 +318,6 @@ ServeResponse InferenceEngine::submit(const ServeRequest& req) {
   return resp;
 }
 
-InferenceEngine::Result InferenceEngine::submit(const std::string& model_name,
-                                                const TensorF& input) {
-  ServeRequest req = ServeRequest::f32(model_name, {});
-  req.batch_f32.push_back(input);
-  ServeResponse resp = submit(req);
-  Result res;
-  res.output = std::move(resp.outputs_f32.front());
-  res.latency_s = resp.latency_s;
-  res.sim_time_s = resp.sim_time_s;
-  res.gma_bytes = resp.gma_bytes;
-  return res;
-}
-
 std::size_t InferenceEngine::n_workers() const {
   const unsigned n = opt_.queue_workers;
   if (n != 0) return n;
@@ -556,16 +543,6 @@ std::vector<double> arrivals_at_rate(std::size_t n, double offered_rps) {
     arrivals[i] = static_cast<double>(i) / offered_rps;
   }
   return arrivals;
-}
-
-std::vector<ReplayOutcome> drive_replay(
-    const std::vector<InferenceEngine::Request>& mix, double offered_rps,
-    Clock& clock,
-    const std::function<std::future<ServeResponse>(ServeRequest, std::size_t)>&
-        submit,
-    double* wall_s) {
-  return drive_replay_scheduled(mix, arrivals_at_rate(mix.size(), offered_rps),
-                                clock, submit, wall_s);
 }
 
 std::vector<ReplayOutcome> drive_replay_scheduled(

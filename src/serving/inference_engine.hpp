@@ -105,16 +105,6 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  /// Outcome of one legacy single-tensor request (see the submit shim).
-  struct Result {
-    TensorF output;
-    /// Host clock latency, seconds (plan lookup + execution).
-    double latency_s = 0.0;
-    /// Simulated GPU time and traffic of the executed plan.
-    double sim_time_s = 0.0;
-    std::int64_t gma_bytes = 0;
-  };
-
   /// One request in a replayed mix; batch item j's input tensor is generated
   /// deterministically from `input_seed + j`.
   struct Request {
@@ -141,10 +131,6 @@ class InferenceEngine {
   /// ServeStatus::kRejected. Failures inside execution (unknown model, bad
   /// shape) surface as exceptions on future.get().
   std::future<ServeResponse> submit_async(ServeRequest req);
-
-  /// Legacy single-image FP32 shim over submit(ServeRequest) — kept so
-  /// pre-batching callers compile unchanged.
-  Result submit(const std::string& model_name, const TensorF& input);
 
   /// Drive `mix` through the admission queue and aggregate per-model and
   /// per-(dtype × batch) stats in first-appearance order, plus cache and
@@ -329,24 +315,15 @@ struct ReplayOutcome {
   std::int64_t gma_bytes = 0;
 };
 
-/// The open-loop replay driver shared by InferenceEngine::replay and
-/// ServingCluster::replay: materialises each Request, paces submissions at
-/// `offered_rps` on `clock` (0 = all at once), submits through `submit`
-/// (called with the concrete request and its mix index — the cluster routes
-/// here) and harvests responses incrementally in submission order. Sets
-/// *wall_s to the clock span from first submission to full drain.
-std::vector<ReplayOutcome> drive_replay(
-    const std::vector<InferenceEngine::Request>& mix, double offered_rps,
-    Clock& clock,
-    const std::function<std::future<ServeResponse>(ServeRequest, std::size_t)>&
-        submit,
-    double* wall_s);
-
-/// The schedule-paced replay driver underneath drive_replay: request i is
-/// submitted once the clock reaches t0 + arrivals[i] (absolute targets off a
-/// single origin — a slow submit makes later requests late, never *shifts*
-/// the schedule). `arrivals` must be non-decreasing and sized like `mix`, or
-/// empty for submit-all-at-once.
+/// The replay driver shared by InferenceEngine and ServingCluster replays:
+/// materialises each Request, submits request i once `clock` reaches
+/// t0 + arrivals[i] (absolute targets off a single origin — a slow submit
+/// makes later requests late, never *shifts* the schedule), submits through
+/// `submit` (called with the concrete request and its mix index — the
+/// cluster routes here) and harvests responses incrementally in submission
+/// order. `arrivals` must be non-decreasing and sized like `mix`, or empty
+/// for submit-all-at-once. Sets *wall_s to the clock span from first
+/// submission to full drain.
 std::vector<ReplayOutcome> drive_replay_scheduled(
     const std::vector<InferenceEngine::Request>& mix,
     const std::vector<double>& arrivals, Clock& clock,
@@ -354,8 +331,8 @@ std::vector<ReplayOutcome> drive_replay_scheduled(
         submit,
     double* wall_s);
 
-/// The arrival schedule drive_replay derives from an offered rate: uniform
-/// 1/rps spacing starting at 0 (empty when rps <= 0 — submit all at once).
+/// The arrival schedule an offered rate implies: uniform 1/rps spacing
+/// starting at 0 (empty when rps <= 0 — submit all at once).
 std::vector<double> arrivals_at_rate(std::size_t n, double offered_rps);
 
 /// Fold one replay outcome into the report's per-(dtype × batch) group and

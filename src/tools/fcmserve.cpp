@@ -15,27 +15,21 @@
 //   fcmserve --plan-only --cache-dir plans/     # cold/warm planning table only
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "autotune/fit.hpp"
 #include "common/clock.hpp"
-#include "tools/cli_util.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
-#include "gpusim/device_spec.hpp"
 #include "models/model_zoo.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serving/cluster.hpp"
 #include "serving/inference_engine.hpp"
+#include "tools/cli_util.hpp"
 #include "workload/trace.hpp"
 
 using namespace fcm;
@@ -129,35 +123,6 @@ void usage() {
       "                               --batch/--dtype/--deadline-ms\n";
 }
 
-/// Enum-valued flag got a value outside its closed set: name the value and
-/// the accepted spellings, print usage, exit 2 — never silently default.
-[[noreturn]] void bad_value(const std::string& flag, const std::string& value,
-                            const char* expected) {
-  std::cerr << "error: unknown value '" << value << "' for " << flag
-            << " (expected " << expected << ")\n";
-  usage();
-  std::exit(2);
-}
-
-/// True when `path` names a JSON file — picks the metrics export format.
-bool wants_json(const std::string& path) {
-  constexpr const char* kExt = ".json";
-  return path.size() >= 5 && path.compare(path.size() - 5, 5, kExt) == 0;
-}
-
-/// Serialise the global registry into `path` (format by extension). Returns
-/// false (with a message on stderr) when the file cannot be written.
-bool dump_metrics(const std::string& path) {
-  auto& reg = fcm::obs::MetricsRegistry::global();
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) {
-    std::cerr << "error: cannot write metrics file '" << path << "'\n";
-    return false;
-  }
-  os << (wants_json(path) ? reg.json_text() : reg.prometheus_text());
-  return os.good();
-}
-
 /// Background thread rewriting the metrics file every interval until
 /// destruction — live dashboards can tail the file while fcmserve replays.
 class PeriodicMetricsDumper {
@@ -187,7 +152,7 @@ class PeriodicMetricsDumper {
       if (stop_) return;
       next += interval_;
       lk.unlock();
-      dump_metrics(path_);  // best effort; the final dump reports failure
+      cli::dump_metrics(path_);  // best effort; the final dump reports failure
       lk.lock();
     }
   }
@@ -200,217 +165,86 @@ class PeriodicMetricsDumper {
   std::thread worker_;
 };
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream is(csv);
-  std::string part;
-  while (std::getline(is, part, ',')) {
-    if (!part.empty()) out.push_back(part);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string device = "RTX", devices_csv, models_csv, cache_dir;
+  std::string device = "RTX", models_csv, cache_dir;
   int requests = 3, batch = 1;
   unsigned threads = 0;
-  std::size_t cache_capacity = 32, queue_depth = 32;
+  std::size_t cache_capacity = 32;
   std::uint64_t seed = 2024;
   bool triple = false, plan_only = false;
   DType dtype = DType::kF32;
   serving::AdmissionPolicy policy = serving::AdmissionPolicy::kBlock;
-  serving::QueueDiscipline discipline = serving::QueueDiscipline::kFifo;
-  serving::RouterPolicy router = serving::RouterPolicy::kRoundRobin;
-  bool router_set = false, devices_set = false;
-  std::size_t autoscale_max = 0;
-  double scale_up_s = 0.05, scale_down_s = 0.01, scale_cooldown_s = 0.25;
-  bool autoscale_set = false;
-  int coalesce = 1;
-  std::uint64_t coalesce_wait_us = 0;
-  double deadline_ms = 0.0, sim_dilation = 0.0;
-  std::string metrics_out, trace_out, trace_in;
+  cli::ClusterFlags flags;  // fcmserve: queue depth 32, holds off
+  double deadline_ms = 0.0;
+  std::string trace_in;
   std::int64_t metrics_interval_ms = 0;
-  std::string cost_model = "analytical", cost_model_file, feature_log_path;
+  std::string cost_model = "analytical", cost_model_file;
   unsigned beam_width = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " needs a value\n";
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // Fractional millisecond/factor flags: parse as double, reject garbage.
-    auto next_double = [&](double max) {
-      const std::string v = next();
-      char* end = nullptr;
-      const double x = std::strtod(v.c_str(), &end);
-      if (end == v.c_str() || *end != '\0' || !(x >= 0.0) || x > max) {
-        std::cerr << "error: bad numeric value '" << v << "' for " << arg
-                  << " (expected 0.." << max << ")\n";
-        usage();
-        std::exit(2);
-      }
-      return x;
-    };
-    if (arg == "--device") device = next();
-    else if (arg == "--devices") {
-      devices_csv = next();
-      devices_set = true;
-    } else if (arg == "--models") models_csv = next();
+  cli::Args args{argc, argv, 1, usage};
+  for (; args.i < argc; ++args.i) {
+    const std::string arg = argv[args.i];
+    if (flags.parse(args)) continue;
+    if (arg == "--device") device = args.next(arg);
+    else if (arg == "--models") models_csv = args.next(arg);
     else if (arg == "--requests") {
-      requests = static_cast<int>(
-          cli::parse_u64_or_usage_exit(next(), 1 << 20, usage));
+      requests = static_cast<int>(args.next_u64(arg, 1 << 20));
     } else if (arg == "--batch") {
-      batch = static_cast<int>(
-          cli::parse_u64_or_usage_exit(next(), 1 << 12, usage));
+      batch = static_cast<int>(args.next_u64(arg, 1 << 12));
     } else if (arg == "--dtype") {
-      const std::string v = next();
+      const std::string v = args.next(arg);
       if (v == "f32" || v == "fp32") dtype = DType::kF32;
       else if (v == "i8" || v == "int8") dtype = DType::kI8;
-      else bad_value("--dtype", v, "f32|i8");
-    } else if (arg == "--queue-depth") {
-      queue_depth = cli::parse_u64_or_usage_exit(next(), 1 << 20, usage);
+      else args.bad_value(arg, v, "f32|i8");
     } else if (arg == "--policy") {
-      const std::string v = next();
+      const std::string v = args.next(arg);
       if (v == "block") policy = serving::AdmissionPolicy::kBlock;
       else if (v == "reject") policy = serving::AdmissionPolicy::kReject;
-      else bad_value("--policy", v, "block|reject");
-    } else if (arg == "--discipline") {
-      const std::string v = next();
-      if (v == "fifo") discipline = serving::QueueDiscipline::kFifo;
-      else if (v == "edf") discipline = serving::QueueDiscipline::kEdf;
-      else bad_value("--discipline", v, "fifo|edf");
-    } else if (arg == "--router") {
-      const std::string v = next();
-      const auto parsed = serving::router_policy_from_name(v);
-      if (!parsed.has_value()) {
-        bad_value("--router", v,
-                  "round-robin|least-loaded|least-requests|plan-affinity");
-      }
-      router = *parsed;
-      router_set = true;
-    } else if (arg == "--autoscale-max") {
-      autoscale_max = cli::parse_u64_or_usage_exit(next(), 1 << 10, usage);
-      autoscale_set = true;
-    } else if (arg == "--scale-up-s") {
-      scale_up_s = next_double(1e9);
-      autoscale_set = true;
-    } else if (arg == "--scale-down-s") {
-      scale_down_s = next_double(1e9);
-      autoscale_set = true;
-    } else if (arg == "--scale-cooldown-s") {
-      scale_cooldown_s = next_double(1e9);
-      autoscale_set = true;
-    } else if (arg == "--coalesce") {
-      coalesce = static_cast<int>(
-          cli::parse_u64_or_usage_exit(next(), 1 << 12, usage));
-    } else if (arg == "--coalesce-wait-us") {
-      coalesce_wait_us = cli::parse_u64_or_usage_exit(next(), 1u << 30, usage);
+      else args.bad_value(arg, v, "block|reject");
     } else if (arg == "--deadline-ms") {
       // Fractional deadlines matter: Tiny's per-request service time is well
       // under a millisecond.
-      deadline_ms = next_double(1e9);
-    } else if (arg == "--sim-dilation") {
-      sim_dilation = next_double(1e12);
-      // The flag's whole point is worker holds; an explicit 0 would
-      // silently serve with holds off — refuse instead (omit the flag).
-      if (!(sim_dilation > 0.0)) {
-        bad_value("--sim-dilation", argv[i], "a factor > 0");
-      }
+      deadline_ms = args.next_double(arg, 1e9);
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(
-          cli::parse_u64_or_usage_exit(next(), 1024, usage));
-    } else if (arg == "--cache-dir") cache_dir = next();
+      threads = static_cast<unsigned>(args.next_u64(arg, 1024));
+    } else if (arg == "--cache-dir") cache_dir = args.next(arg);
     else if (arg == "--cache-capacity") {
-      cache_capacity = cli::parse_u64_or_usage_exit(next(), 1 << 20, usage);
+      cache_capacity = args.next_u64(arg, 1 << 20);
     } else if (arg == "--seed") {
-      seed = cli::parse_u64_or_usage_exit(
-          next(), std::numeric_limits<std::uint64_t>::max(), usage);
+      seed = args.next_u64(arg, std::numeric_limits<std::uint64_t>::max());
     }
-    else if (arg == "--metrics-out") metrics_out = next();
-    else if (arg == "--trace-out") trace_out = next();
-    else if (arg == "--trace-in") trace_in = next();
-    else if (arg == "--cost-model") cost_model = next();
-    else if (arg == "--cost-model-file") cost_model_file = next();
+    else if (arg == "--trace-in") trace_in = args.next(arg);
+    else if (arg == "--cost-model") cost_model = args.next(arg);
+    else if (arg == "--cost-model-file") cost_model_file = args.next(arg);
     else if (arg == "--beam-width") {
-      beam_width = static_cast<unsigned>(
-          cli::parse_u64_or_usage_exit(next(), 1u << 20, usage));
+      beam_width = static_cast<unsigned>(args.next_u64(arg, 1u << 20));
     }
-    else if (arg == "--feature-log") feature_log_path = next();
     else if (arg == "--metrics-interval-ms") {
-      const std::string v = next();
+      const std::string v = args.next(arg);
       metrics_interval_ms = static_cast<std::int64_t>(
           cli::parse_u64_or_usage_exit(v, 1u << 30, usage));
       if (metrics_interval_ms < 1) {
-        bad_value("--metrics-interval-ms", v, "an integer >= 1");
+        args.bad_value(arg, v, "an integer >= 1");
       }
     }
     else if (arg == "--triple") triple = true;
     else if (arg == "--plan-only") plan_only = true;
-    else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "error: unknown argument '" << arg << "'\n";
-      usage();
-      return 2;
-    }
+    else args.unknown();
   }
-  if (requests < 1 || batch < 1 || cache_capacity < 1 || queue_depth < 1 ||
-      coalesce < 1) {
-    std::cerr << "error: --requests/--batch/--cache-capacity/--queue-depth/"
-                 "--coalesce must all be >= 1\n";
-    usage();
-    return 2;
+  if (requests < 1 || batch < 1 || cache_capacity < 1) {
+    args.fail("--requests/--batch/--cache-capacity must all be >= 1");
   }
-  const std::vector<std::string> cluster_device_names = split_csv(devices_csv);
-  if (devices_set && cluster_device_names.empty()) {
-    // "--devices ," used to fall back to a routerless single engine and
-    // crash confusingly later; an explicitly empty cluster is a usage error.
-    bad_value("--devices", devices_csv, "a non-empty device list");
-  }
-  if (router_set && cluster_device_names.empty()) {
-    // Routing only exists in cluster mode; accepting the flag and running a
-    // routerless single engine would be exactly the silent default the
-    // enum-flag validation above refuses to be.
-    std::cerr << "error: --router requires --devices (cluster mode)\n";
-    usage();
-    return 2;
-  }
-  if (autoscale_set && cluster_device_names.empty()) {
-    // Same rule as --router: the autoscaler lives in the cluster.
-    std::cerr << "error: --autoscale-max/--scale-*-s require --devices "
-                 "(cluster mode)\n";
-    usage();
-    return 2;
-  }
-  if (autoscale_max > 0 && autoscale_max < cluster_device_names.size()) {
-    std::cerr << "error: --autoscale-max must be >= the --devices count ("
-              << cluster_device_names.size() << ")\n";
-    usage();
-    return 2;
-  }
-  if (autoscale_max > 0 && !(scale_down_s < scale_up_s)) {
-    std::cerr << "error: --scale-down-s must be < --scale-up-s\n";
-    usage();
-    return 2;
-  }
-  if (metrics_interval_ms > 0 && metrics_out.empty()) {
+  flags.validate(args);
+  if (metrics_interval_ms > 0 && flags.metrics_out.empty()) {
     // Same no-silent-noop rule: a periodic dump with nowhere to dump would
     // quietly do nothing.
-    std::cerr << "error: --metrics-interval-ms requires --metrics-out\n";
-    usage();
-    return 2;
+    args.fail("--metrics-interval-ms requires --metrics-out");
   }
   if (!cost_model_file.empty()) cost_model = "calibrated";
   if (cost_model != "analytical" && cost_model != "calibrated") {
-    bad_value("--cost-model", cost_model, "analytical or calibrated");
+    args.bad_value("--cost-model", cost_model, "analytical or calibrated");
   }
 
   // --trace-in: the replay mix comes from a recorded trace instead of the
@@ -422,10 +256,7 @@ int main(int argc, char** argv) {
     try {
       in_trace = workload::load_trace_file(trace_in);
     } catch (const Error& e) {
-      std::cerr << "error: invalid trace for --trace-in: " << e.what()
-                << "\n";
-      usage();
-      return 2;
+      args.fail(std::string("invalid trace for --trace-in: ") + e.what());
     }
   }
 
@@ -439,15 +270,12 @@ int main(int argc, char** argv) {
     }
 
     // Cluster mode: one engine shard per --devices entry behind the router.
-    std::vector<gpusim::DeviceSpec> cluster_devices;
-    for (const auto& name : cluster_device_names) {
-      cluster_devices.push_back(gpusim::device_by_name(name));
-    }
+    const std::vector<gpusim::DeviceSpec> cluster_devices = flags.devices();
     const bool cluster_mode = !cluster_devices.empty();
 
     const auto dev = cluster_mode ? cluster_devices.front()
                                   : gpusim::device_by_name(device);
-    std::vector<std::string> model_names = split_csv(models_csv);
+    std::vector<std::string> model_names = cli::split_csv(models_csv);
     if (trace_mode) {
       // The cold/warm planning table covers the trace's models, in
       // first-appearance order.
@@ -519,53 +347,19 @@ int main(int argc, char** argv) {
                                       ? planner::CostModelKind::kCalibrated
                                       : planner::CostModelKind::kAnalytical;
     opt.plan_options.beam_width = static_cast<int>(beam_width);
-    opt.scheduler.queue_depth = queue_depth;
     opt.scheduler.policy = policy;
-    opt.scheduler.discipline = discipline;
-    opt.scheduler.max_coalesce_batch = coalesce;
-    opt.scheduler.coalesce_wait_us =
-        static_cast<std::int64_t>(coalesce_wait_us);
     // --threads bounds serving concurrency too: the admission queue's
     // request workers, not only the simulator pool.
     opt.queue_workers = threads;
-    opt.sim_dilation = sim_dilation;
-
-    // --trace-out: one tracer shared by every shard; spans land on per-shard
-    // lanes and the file is written after the replay drains.
-    std::shared_ptr<obs::Tracer> tracer;
-    if (!trace_out.empty()) {
-      tracer = std::make_shared<obs::Tracer>();
-      opt.tracer = tracer;
-    }
-
-    // --feature-log: one collector shared by every shard (cluster mode copies
-    // EngineOptions per shard, so all engines append to it); the dataset is
-    // written once the replay drains.
-    std::shared_ptr<autotune::FeatureCollector> feature_log;
-    if (!feature_log_path.empty()) {
-      feature_log = std::make_shared<autotune::FeatureCollector>();
-      opt.feature_log = feature_log;
-    }
-    auto flush_feature_log = [&]() {
-      if (!feature_log) return;
-      const autotune::FeatureLog snap = feature_log->snapshot();
-      autotune::save_feature_log_file(snap, feature_log_path);
-      std::cout << "feature log: " << snap.records.size() << " records -> "
-                << feature_log_path << "\n";
-    };
+    // --trace-out spans land on per-shard lanes; the trace file and the
+    // --feature-log dataset are written once the replay drains.
+    flags.wire(opt);
 
     std::unique_ptr<serving::ServingCluster> cluster;
     std::unique_ptr<serving::InferenceEngine> single;
     if (cluster_mode) {
-      serving::ClusterOptions copt;
-      copt.engine = opt;
-      copt.router = router;
-      copt.autoscale.max_shards = autoscale_max;
-      copt.autoscale.scale_up_load_s = scale_up_s;
-      copt.autoscale.scale_down_load_s = scale_down_s;
-      copt.autoscale.cooldown_s = scale_cooldown_s;
-      cluster = std::make_unique<serving::ServingCluster>(cluster_devices,
-                                                          copt);
+      cluster = std::make_unique<serving::ServingCluster>(
+          cluster_devices, flags.cluster_options(opt));
     } else {
       single = std::make_unique<serving::InferenceEngine>(dev, opt);
     }
@@ -573,7 +367,7 @@ int main(int argc, char** argv) {
     // while the run progresses (stopped before the authoritative final dump).
     std::unique_ptr<PeriodicMetricsDumper> dumper;
     if (metrics_interval_ms > 0) {
-      dumper = std::make_unique<PeriodicMetricsDumper>(metrics_out,
+      dumper = std::make_unique<PeriodicMetricsDumper>(flags.metrics_out,
                                                        metrics_interval_ms);
     }
 
@@ -627,8 +421,10 @@ int main(int argc, char** argv) {
     }
     if (plan_only) {
       dumper.reset();  // stop the periodic writer before the final dump
-      flush_feature_log();  // cold-plan records exist even with no requests
-      if (!metrics_out.empty() && !dump_metrics(metrics_out)) return 1;
+      flags.write_feature_log();  // cold-plan records exist even with no requests
+      if (!flags.metrics_out.empty() && !cli::dump_metrics(flags.metrics_out)) {
+        return 1;
+      }
       return 0;
     }
 
@@ -657,22 +453,24 @@ int main(int argc, char** argv) {
                 << ", interleaved, batch " << batch << ", "
                 << dtype_name(dtype);
     }
-    std::cout << ", queue depth " << queue_depth << ", "
+    std::cout << ", queue depth " << flags.queue_depth << ", "
               << serving::admission_policy_name(policy) << ", "
-              << serving::queue_discipline_name(discipline);
+              << serving::queue_discipline_name(flags.discipline);
     if (cluster_mode) {
       std::cout << ", " << cluster_devices.size() << " shards";
-      if (autoscale_max > 0) {
-        std::cout << " (elastic, up to " << autoscale_max << ")";
+      if (flags.autoscale_max > 0) {
+        std::cout << " (elastic, up to " << flags.autoscale_max << ")";
       }
-      std::cout << ", router " << serving::router_policy_name(router);
+      std::cout << ", router " << serving::router_policy_name(flags.router);
     }
-    if (coalesce > 1) {
-      std::cout << ", coalesce " << coalesce << " within "
-                << coalesce_wait_us << " us";
+    if (flags.coalesce > 1) {
+      std::cout << ", coalesce " << flags.coalesce << " within "
+                << flags.coalesce_wait_us << " us";
     }
     if (deadline_ms > 0.0) std::cout << ", deadline " << deadline_ms << " ms";
-    if (sim_dilation > 0.0) std::cout << ", sim-dilation " << sim_dilation;
+    if (flags.sim_dilation > 0.0) {
+      std::cout << ", sim-dilation " << flags.sim_dilation;
+    }
     std::cout << ") ==\n";
     const auto report =
         trace_mode
@@ -683,26 +481,7 @@ int main(int argc, char** argv) {
               << report.shard_table() << report.summary() << "\n";
 
     dumper.reset();  // stop the periodic writer before the final dump
-    if (tracer) {
-      std::ofstream os(trace_out, std::ios::trunc);
-      if (!os) {
-        std::cerr << "error: cannot write trace file '" << trace_out << "'\n";
-        return 1;
-      }
-      os << tracer->chrome_trace_json();
-      std::cout << "trace: " << tracer->size() << " spans -> " << trace_out;
-      if (tracer->dropped() > 0) {
-        std::cout << " (" << tracer->dropped() << " dropped at capacity)";
-      }
-      std::cout << "\n";
-    }
-    flush_feature_log();
-    if (!metrics_out.empty()) {
-      if (!dump_metrics(metrics_out)) return 1;
-      std::cout << "metrics: "
-                << (wants_json(metrics_out) ? "JSON" : "Prometheus text")
-                << " -> " << metrics_out << "\n";
-    }
+    if (!flags.write_outputs()) return 1;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

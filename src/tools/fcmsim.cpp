@@ -12,21 +12,13 @@
 //   fcmsim generate --kind flash-crowd --rate 50 --flash-x 20 --out f.jsonl
 //   fcmsim replay --trace p.jsonl --devices GTX,RTX --router least-loaded
 //   fcmsim replay --trace f.jsonl --sim-dilation 1 --metrics-out m.json
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "autotune/feature_log.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"
-#include "gpusim/device_spec.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serving/cluster.hpp"
 #include "tools/cli_util.hpp"
 #include "workload/generators.hpp"
@@ -104,70 +96,7 @@ void usage() {
       "                               fcmtune fits on it\n";
 }
 
-[[noreturn]] void bad_value(const std::string& flag, const std::string& value,
-                            const std::string& expected) {
-  std::cerr << "error: unknown value '" << value << "' for " << flag
-            << " (expected " << expected << ")\n";
-  usage();
-  std::exit(2);
-}
-
-bool wants_json(const std::string& path) {
-  constexpr const char* kExt = ".json";
-  return path.size() >= 5 && path.compare(path.size() - 5, 5, kExt) == 0;
-}
-
-bool dump_metrics(const std::string& path) {
-  auto& reg = obs::MetricsRegistry::global();
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) {
-    std::cerr << "error: cannot write metrics file '" << path << "'\n";
-    return false;
-  }
-  os << (wants_json(path) ? reg.json_text() : reg.prometheus_text());
-  return os.good();
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream is(csv);
-  std::string part;
-  while (std::getline(is, part, ',')) {
-    if (!part.empty()) out.push_back(part);
-  }
-  return out;
-}
-
-/// Argv cursor shared by both subcommands.
-struct Args {
-  int argc;
-  char** argv;
-  int i;
-
-  std::string next(const std::string& flag) {
-    if (i + 1 >= argc) {
-      std::cerr << "error: " << flag << " needs a value\n";
-      usage();
-      std::exit(2);
-    }
-    return argv[++i];
-  }
-
-  double next_double(const std::string& flag, double max) {
-    const std::string v = next(flag);
-    char* end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0' || !(x >= 0.0) || x > max) {
-      std::cerr << "error: bad numeric value '" << v << "' for " << flag
-                << " (expected 0.." << max << ")\n";
-      usage();
-      std::exit(2);
-    }
-    return x;
-  }
-};
-
-int run_generate(Args& args) {
+int run_generate(cli::Args& args) {
   workload::GeneratorSpec spec;
   std::string out;
   std::uint64_t seed = 1;
@@ -178,30 +107,27 @@ int run_generate(Args& args) {
       try {
         spec.kind = workload::generator_from_name(v);
       } catch (const Error&) {
-        bad_value("--kind", v, workload::generator_names_csv());
+        args.bad_value("--kind", v, workload::generator_names_csv());
       }
     } else if (arg == "--out") {
       out = args.next(arg);
     } else if (arg == "--requests") {
-      spec.requests = cli::parse_u64_or_usage_exit(args.next(arg),
-                                                   std::uint64_t{1} << 24,
-                                                   usage);
+      spec.requests = args.next_u64(arg, std::uint64_t{1} << 24);
     } else if (arg == "--rate") {
       spec.rate_rps = args.next_double(arg, 1e9);
     } else if (arg == "--models") {
-      spec.models = split_csv(args.next(arg));
+      spec.models = cli::split_csv(args.next(arg));
     } else if (arg == "--dtype") {
       const std::string v = args.next(arg);
       if (v == "f32" || v == "fp32") spec.dtype = DType::kF32;
       else if (v == "i8" || v == "int8") spec.dtype = DType::kI8;
-      else bad_value("--dtype", v, "f32|i8");
+      else args.bad_value("--dtype", v, "f32|i8");
     } else if (arg == "--batch") {
-      spec.batch = static_cast<int>(
-          cli::parse_u64_or_usage_exit(args.next(arg), 1 << 12, usage));
+      spec.batch = static_cast<int>(args.next_u64(arg, 1 << 12));
     } else if (arg == "--deadline-ms") {
       spec.deadline_s = args.next_double(arg, 1e9) / 1e3;
     } else if (arg == "--tenants") {
-      spec.tenants = split_csv(args.next(arg));
+      spec.tenants = cli::split_csv(args.next(arg));
     } else if (arg == "--zipf-s") {
       spec.zipf_s = args.next_double(arg, 64.0);
     } else if (arg == "--on-ms") {
@@ -219,22 +145,12 @@ int run_generate(Args& args) {
     } else if (arg == "--flash-x") {
       spec.flash_x = args.next_double(arg, 1e9);
     } else if (arg == "--seed") {
-      seed = cli::parse_u64_or_usage_exit(
-          args.next(arg), std::numeric_limits<std::uint64_t>::max(), usage);
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
+      seed = args.next_u64(arg, std::numeric_limits<std::uint64_t>::max());
     } else {
-      std::cerr << "error: unknown argument '" << arg << "'\n";
-      usage();
-      return 2;
+      args.unknown();
     }
   }
-  if (out.empty()) {
-    std::cerr << "error: generate needs --out <file>\n";
-    usage();
-    return 2;
-  }
+  if (out.empty()) args.fail("generate needs --out <file>");
 
   const workload::Trace trace = workload::generate_trace(spec, seed);
   workload::save_trace_file(trace, out);
@@ -244,175 +160,67 @@ int run_generate(Args& args) {
   return 0;
 }
 
-int run_replay(Args& args) {
-  std::string trace_path, devices_csv = "RTX", metrics_out, trace_out;
-  std::string feature_log_path;
-  serving::RouterPolicy router = serving::RouterPolicy::kRoundRobin;
-  serving::QueueDiscipline discipline = serving::QueueDiscipline::kFifo;
-  std::size_t queue_depth = 64;
-  int coalesce = 1;
-  std::uint64_t coalesce_wait_us = 0;
-  double sim_dilation = 1.0;
-  std::size_t autoscale_max = 0;
-  double scale_up_s = 0.05, scale_down_s = 0.01, scale_cooldown_s = 0.25;
+int run_replay(cli::Args& args) {
+  std::string trace_path;
+  cli::ClusterFlags flags;  // fcmsim: one RTX shard, queue depth 64, holds on
+  flags.devices_csv = "RTX";
+  flags.queue_depth = 64;
+  flags.sim_dilation = 1.0;
   bool functional = false;
   unsigned threads = 0;
   std::uint64_t seed = 2024;
   for (; args.i < args.argc; ++args.i) {
     const std::string arg = args.argv[args.i];
+    if (flags.parse(args)) continue;
     if (arg == "--trace") {
       trace_path = args.next(arg);
-    } else if (arg == "--devices") {
-      devices_csv = args.next(arg);
-    } else if (arg == "--router") {
-      const std::string v = args.next(arg);
-      const auto parsed = serving::router_policy_from_name(v);
-      if (!parsed.has_value()) {
-        bad_value("--router", v,
-                  "round-robin|least-loaded|least-requests|plan-affinity");
-      }
-      router = *parsed;
-    } else if (arg == "--discipline") {
-      const std::string v = args.next(arg);
-      if (v == "fifo") discipline = serving::QueueDiscipline::kFifo;
-      else if (v == "edf") discipline = serving::QueueDiscipline::kEdf;
-      else bad_value("--discipline", v, "fifo|edf");
-    } else if (arg == "--queue-depth") {
-      queue_depth =
-          cli::parse_u64_or_usage_exit(args.next(arg), 1 << 20, usage);
-    } else if (arg == "--coalesce") {
-      coalesce = static_cast<int>(
-          cli::parse_u64_or_usage_exit(args.next(arg), 1 << 12, usage));
-    } else if (arg == "--coalesce-wait-us") {
-      coalesce_wait_us =
-          cli::parse_u64_or_usage_exit(args.next(arg), 1u << 30, usage);
-    } else if (arg == "--sim-dilation") {
-      sim_dilation = args.next_double(arg, 1e12);
-      // next_double() allows 0, but a zero dilation would let virtual
-      // holds collapse and every shard drain instantly — reject it here.
-      if (!(sim_dilation > 0.0)) bad_value(arg, args.argv[args.i], "> 0");
-    } else if (arg == "--autoscale-max") {
-      autoscale_max =
-          cli::parse_u64_or_usage_exit(args.next(arg), 1 << 10, usage);
-    } else if (arg == "--scale-up-s") {
-      scale_up_s = args.next_double(arg, 1e9);
-    } else if (arg == "--scale-down-s") {
-      scale_down_s = args.next_double(arg, 1e9);
-    } else if (arg == "--scale-cooldown-s") {
-      scale_cooldown_s = args.next_double(arg, 1e9);
     } else if (arg == "--functional") {
       functional = true;
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(
-          cli::parse_u64_or_usage_exit(args.next(arg), 1024, usage));
+      threads = static_cast<unsigned>(args.next_u64(arg, 1024));
     } else if (arg == "--seed") {
-      seed = cli::parse_u64_or_usage_exit(
-          args.next(arg), std::numeric_limits<std::uint64_t>::max(), usage);
-    } else if (arg == "--metrics-out") {
-      metrics_out = args.next(arg);
-    } else if (arg == "--trace-out") {
-      trace_out = args.next(arg);
-    } else if (arg == "--feature-log") {
-      feature_log_path = args.next(arg);
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
+      seed = args.next_u64(arg, std::numeric_limits<std::uint64_t>::max());
     } else {
-      std::cerr << "error: unknown argument '" << arg << "'\n";
-      usage();
-      return 2;
+      args.unknown();
     }
   }
-  if (trace_path.empty()) {
-    std::cerr << "error: replay needs --trace <file>\n";
-    usage();
-    return 2;
-  }
-  if (queue_depth < 1 || coalesce < 1) {
-    std::cerr << "error: --queue-depth/--coalesce must be >= 1\n";
-    usage();
-    return 2;
-  }
-  const std::vector<std::string> device_names = split_csv(devices_csv);
-  if (device_names.empty()) {
-    bad_value("--devices", devices_csv, "a non-empty device list");
-  }
-  if (autoscale_max > 0 && autoscale_max < device_names.size()) {
-    std::cerr << "error: --autoscale-max must be >= the --devices count ("
-              << device_names.size() << ")\n";
-    usage();
-    return 2;
-  }
-  if (autoscale_max > 0 && !(scale_down_s < scale_up_s)) {
-    std::cerr << "error: --scale-down-s must be < --scale-up-s\n";
-    usage();
-    return 2;
-  }
+  if (trace_path.empty()) args.fail("replay needs --trace <file>");
+  flags.validate(args);
 
   workload::Trace trace;
   try {
     trace = workload::load_trace_file(trace_path);
   } catch (const Error& e) {
-    std::cerr << "error: invalid trace for --trace: " << e.what() << "\n";
-    usage();
-    return 2;
+    args.fail(std::string("invalid trace for --trace: ") + e.what());
   }
 
   try {
-    std::vector<gpusim::DeviceSpec> devices;
-    for (const auto& name : device_names) {
-      devices.push_back(gpusim::device_by_name(name));
-    }
-
     auto clock = std::make_shared<ManualClock>();
-    serving::ClusterOptions copt;
-    copt.router = router;
-    copt.engine.clock = clock;
-    copt.engine.seed = seed;
-    copt.engine.queue_workers = threads;
-    copt.engine.sim_dilation = sim_dilation;
-    copt.engine.virtual_hold = true;
-    copt.engine.scheduler.queue_depth = queue_depth;
+    serving::EngineOptions opt;
+    opt.clock = clock;
+    opt.seed = seed;
+    opt.queue_workers = threads;
+    opt.virtual_hold = true;
     // Virtual holds rule out kBlock (a full queue would park the driver the
     // workers wait on); overload sheds load instead, like a real server.
-    copt.engine.scheduler.policy = serving::AdmissionPolicy::kReject;
-    copt.engine.scheduler.discipline = discipline;
-    copt.engine.scheduler.max_coalesce_batch = coalesce;
-    copt.engine.scheduler.coalesce_wait_us =
-        static_cast<std::int64_t>(coalesce_wait_us);
-    copt.autoscale.max_shards = autoscale_max;
-    copt.autoscale.scale_up_load_s = scale_up_s;
-    copt.autoscale.scale_down_load_s = scale_down_s;
-    copt.autoscale.cooldown_s = scale_cooldown_s;
-
-    std::shared_ptr<obs::Tracer> tracer;
-    if (!trace_out.empty()) {
-      tracer = std::make_shared<obs::Tracer>();
-      copt.engine.tracer = tracer;
-    }
-
-    // --feature-log: one collector shared by every shard; dry replays record
-    // predicted == executed anchors, functional replays record real executed
-    // times — both feed fcmtune.
-    std::shared_ptr<autotune::FeatureCollector> feature_log;
-    if (!feature_log_path.empty()) {
-      feature_log = std::make_shared<autotune::FeatureCollector>();
-      copt.engine.feature_log = feature_log;
-    }
-
-    serving::ServingCluster cluster(devices, copt);
+    opt.scheduler.policy = serving::AdmissionPolicy::kReject;
+    // --feature-log: dry replays record predicted == executed anchors,
+    // functional replays record real executed times — both feed fcmtune.
+    flags.wire(opt);
+    serving::ServingCluster cluster(flags.devices(),
+                                    flags.cluster_options(opt));
 
     std::cout << "== replaying " << trace.requests.size() << " requests ('"
               << trace.name << "', " << trace.duration_s()
-              << " s of trace time) on " << devices.size() << " shard"
-              << (devices.size() == 1 ? "" : "s")
-              << (autoscale_max > 0
-                      ? " (elastic, up to " + std::to_string(autoscale_max) +
-                            ")"
+              << " s of trace time) on " << flags.device_names.size()
+              << " shard" << (flags.device_names.size() == 1 ? "" : "s")
+              << (flags.autoscale_max > 0
+                      ? " (elastic, up to " +
+                            std::to_string(flags.autoscale_max) + ")"
                       : "")
-              << ", router "
-              << serving::router_policy_name(router) << ", "
-              << serving::queue_discipline_name(discipline) << ", "
+              << ", router " << serving::router_policy_name(flags.router)
+              << ", " << serving::queue_discipline_name(flags.discipline)
+              << ", "
               << (functional ? "functional" : "dry-run") << " ==\n";
 
     workload::SimOptions sopt;
@@ -425,28 +233,7 @@ int run_replay(Args& args) {
               << report.summary() << "\n"
               << "fast-forward: " << summary.str() << "\n";
 
-    if (tracer) {
-      std::ofstream os(trace_out, std::ios::trunc);
-      if (!os) {
-        std::cerr << "error: cannot write trace file '" << trace_out << "'\n";
-        return 1;
-      }
-      os << tracer->chrome_trace_json();
-      std::cout << "trace: " << tracer->size() << " spans -> " << trace_out
-                << "\n";
-    }
-    if (feature_log) {
-      const autotune::FeatureLog snap = feature_log->snapshot();
-      autotune::save_feature_log_file(snap, feature_log_path);
-      std::cout << "feature log: " << snap.records.size() << " records -> "
-                << feature_log_path << "\n";
-    }
-    if (!metrics_out.empty()) {
-      if (!dump_metrics(metrics_out)) return 1;
-      std::cout << "metrics: "
-                << (wants_json(metrics_out) ? "JSON" : "Prometheus text")
-                << " -> " << metrics_out << "\n";
-    }
+    if (!flags.write_outputs()) return 1;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -462,7 +249,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  Args args{argc, argv, 2};
+  cli::Args args{argc, argv, 2, usage};
   try {
     if (cmd == "generate") return run_generate(args);
     if (cmd == "replay") return run_replay(args);

@@ -13,8 +13,8 @@
 #include <string>
 
 #include "autotune/fit.hpp"
-#include "autotune/jsonl.hpp"
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 #include "tools/cli_util.hpp"
 
 using namespace fcm;
@@ -55,44 +55,25 @@ int main(int argc, char** argv) {
 
   std::string log_path, out_path;
   autotune::FitOptions fopt;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " needs a value\n";
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--log") log_path = next();
-    else if (arg == "--out") out_path = next();
+  cli::Args args{argc, argv, 2, usage};
+  for (; args.i < argc; ++args.i) {
+    const std::string arg = argv[args.i];
+    if (arg == "--log") log_path = args.next(arg);
+    else if (arg == "--out") out_path = args.next(arg);
     else if (arg == "--lambda") {
-      const std::string v = next();
+      const std::string v = args.next(arg);
       char* end = nullptr;
       const double x = std::strtod(v.c_str(), &end);
       if (end == v.c_str() || *end != '\0' || !(x >= 0.0) || x > 1e9) {
-        std::cerr << "error: bad numeric value '" << v
-                  << "' for --lambda (expected 0..1e9)\n";
-        usage();
-        return 2;
+        args.fail("bad numeric value '" + v +
+                  "' for --lambda (expected 0..1e9)");
       }
       fopt.lambda = x;
     }
-    else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    }
-    else {
-      std::cerr << "error: unknown argument '" << arg << "'\n";
-      usage();
-      return 2;
-    }
+    else args.unknown();
   }
   if (log_path.empty() || out_path.empty()) {
-    std::cerr << "error: fit needs --log <file> and --out <file>\n";
-    usage();
-    return 2;
+    args.fail("fit needs --log <file> and --out <file>");
   }
 
   try {
@@ -103,12 +84,12 @@ int main(int argc, char** argv) {
     // the same way it validates the model file.
     std::cout << "{\"records_total\": " << log.records.size()
               << ", \"records_used\": " << res.records_used
-              << ", \"lambda\": " << autotune::jsonl::fmt_double_rt(fopt.lambda)
+              << ", \"lambda\": " << jsonl::fmt_double_rt(fopt.lambda)
               << ", \"mae_analytical_s\": "
-              << autotune::jsonl::fmt_double_rt(res.mae_analytical)
+              << jsonl::fmt_double_rt(res.mae_analytical)
               << ", \"mae_calibrated_s\": "
-              << autotune::jsonl::fmt_double_rt(res.mae_calibrated)
-              << ", \"out\": " << autotune::jsonl::json_string(out_path)
+              << jsonl::fmt_double_rt(res.mae_calibrated)
+              << ", \"out\": " << jsonl::json_string(out_path)
               << "}\n";
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -1,239 +1,17 @@
 #include "workload/trace.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 #include "models/model_zoo.hpp"
 
 namespace fcm::workload {
 
-namespace {
-
-/// Shortest decimal rendering of `v` that parses back bit-identically —
-/// "0.004" stays "0.004", while values that genuinely need 17 digits get
-/// them. Keeps traces human-readable without sacrificing exact round-trip.
-std::string fmt_double_rt(double v) {
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-/// JSON string literal with the minimal escapes the strict parser accepts.
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        FCM_CHECK(static_cast<unsigned char>(c) >= 0x20,
-                  "trace: control character in string field");
-        out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-/// One parsed value of a flat JSON object: a number (with its raw token, so
-/// 64-bit seeds can be re-parsed without a double round-trip) or a string.
-struct FieldValue {
-  bool is_string = false;
-  double num = 0.0;
-  std::string raw;  // number token as written
-  std::string str;  // unescaped string contents
-};
-
-using Fields = std::vector<std::pair<std::string, FieldValue>>;
-
-/// Strict scanner for one flat JSON object line: string keys, number or
-/// string values, no nesting, no duplicate keys, no trailing garbage.
-class LineScanner {
- public:
-  LineScanner(const std::string& line, std::size_t line_no)
-      : s_(line), line_no_(line_no) {}
-
-  Fields object() {
-    Fields fields;
-    skip_ws();
-    expect('{', "object");
-    skip_ws();
-    if (!eat('}')) {
-      for (;;) {
-        skip_ws();
-        std::string key = string_lit();
-        for (const auto& [seen, unused] : fields) {
-          if (seen == key) fail("duplicate key \"" + key + "\"");
-        }
-        skip_ws();
-        expect(':', "':' after key \"" + key + "\"");
-        skip_ws();
-        fields.emplace_back(std::move(key), value());
-        skip_ws();
-        if (eat(',')) continue;
-        expect('}', "',' or '}'");
-        break;
-      }
-    }
-    skip_ws();
-    if (i_ != s_.size()) fail("trailing characters after object");
-    return fields;
-  }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw Error("trace line " + std::to_string(line_no_) + ": " + msg);
-  }
-
- private:
-  void skip_ws() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t')) ++i_;
-  }
-  bool eat(char c) {
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-  void expect(char c, const std::string& what) {
-    if (!eat(c)) fail("expected " + what);
-  }
-
-  std::string string_lit() {
-    if (!eat('"')) fail("expected string");
-    std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char c = s_[i_++];
-      if (c == '\\') {
-        if (i_ >= s_.size()) fail("unterminated escape");
-        const char e = s_[i_++];
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          default: fail(std::string("unsupported escape '\\") + e + "'");
-        }
-      }
-      out += c;
-    }
-    if (!eat('"')) fail("unterminated string");
-    return out;
-  }
-
-  FieldValue value() {
-    FieldValue v;
-    if (i_ < s_.size() && s_[i_] == '"') {
-      v.is_string = true;
-      v.str = string_lit();
-      return v;
-    }
-    const std::size_t start = i_;
-    while (i_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[i_])) != 0 ||
-            s_[i_] == '-' || s_[i_] == '+' || s_[i_] == '.' || s_[i_] == 'e' ||
-            s_[i_] == 'E')) {
-      ++i_;
-    }
-    if (i_ == start) fail("expected number or string value");
-    v.raw = s_.substr(start, i_ - start);
-    char* end = nullptr;
-    v.num = std::strtod(v.raw.c_str(), &end);
-    if (end != v.raw.c_str() + v.raw.size()) {
-      fail("malformed number '" + v.raw + "'");
-    }
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t i_ = 0;
-  std::size_t line_no_;
-};
-
-/// Typed field accessors over one line's parsed object.
-class FieldReader {
- public:
-  FieldReader(Fields fields, const LineScanner& scanner)
-      : fields_(std::move(fields)), scanner_(scanner) {}
-
-  bool has(const char* key) const { return find(key) != nullptr; }
-
-  double number(const char* key) {
-    const FieldValue& v = require(key);
-    if (v.is_string) scanner_.fail(std::string(key) + " must be a number");
-    return v.num;
-  }
-
-  std::uint64_t u64(const char* key) {
-    // Re-parse the raw token: a 64-bit seed must not round-trip through the
-    // scanner's double (2^53 would silently truncate it).
-    const FieldValue& v = require(key);
-    if (v.is_string || v.raw.find_first_of(".eE-+") != std::string::npos) {
-      scanner_.fail(std::string(key) + " must be a non-negative integer");
-    }
-    char* end = nullptr;
-    const std::uint64_t x = std::strtoull(v.raw.c_str(), &end, 10);
-    if (end != v.raw.c_str() + v.raw.size()) {
-      scanner_.fail(std::string(key) + " must be a non-negative integer");
-    }
-    return x;
-  }
-
-  std::string string(const char* key) {
-    const FieldValue& v = require(key);
-    if (!v.is_string) scanner_.fail(std::string(key) + " must be a string");
-    return v.str;
-  }
-
-  /// Every key must have been consumed by one of the accessors above.
-  void check_no_unknown() const {
-    for (const auto& [key, unused] : fields_) {
-      bool used = false;
-      for (const auto& u : used_) used = used || u == key;
-      if (!used) scanner_.fail("unknown key \"" + key + "\"");
-    }
-  }
-
- private:
-  const FieldValue* find(const char* key) const {
-    for (const auto& [k, v] : fields_) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  const FieldValue& require(const char* key) {
-    const FieldValue* v = find(key);
-    if (v == nullptr) scanner_.fail(std::string("missing key \"") + key + "\"");
-    used_.push_back(key);
-    return *v;
-  }
-
-  Fields fields_;
-  const LineScanner& scanner_;
-  std::vector<std::string> used_;
-};
-
-DType dtype_from_trace(const std::string& name, const LineScanner& scanner) {
-  if (name == "fp32") return DType::kF32;
-  if (name == "int8") return DType::kI8;
-  scanner.fail("dtype must be \"fp32\" or \"int8\", got \"" + name + "\"");
-}
-
-}  // namespace
+using jsonl::fmt_double_rt;
+using jsonl::json_string;
 
 std::string serialize_trace(const Trace& trace) {
   std::ostringstream os;
@@ -254,49 +32,30 @@ std::string serialize_trace(const Trace& trace) {
 }
 
 Trace parse_trace(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
   Trace trace;
   bool have_header = false;
   std::uint64_t declared = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    LineScanner scanner(line, line_no);
-    FieldReader fields(scanner.object(), scanner);
+  jsonl::for_each_object(text, "trace", [&](jsonl::FieldReader& fields) {
     if (!have_header) {
-      const std::uint64_t version = fields.u64("fcm_trace");
-      if (version != static_cast<std::uint64_t>(kTraceVersion)) {
-        scanner.fail("unsupported trace version " + std::to_string(version) +
-                     " (this build reads version " +
-                     std::to_string(kTraceVersion) + ")");
-      }
+      fields.require_version("fcm_trace", kTraceVersion, "trace");
       trace.name = fields.string("name");
       trace.seed = fields.u64("seed");
       declared = fields.u64("requests");
       fields.check_no_unknown();
       have_header = true;
-      continue;
+      return;
     }
     TraceRecord r;
     r.t_s = fields.number("t");
     r.model = fields.string("model");
-    r.dtype = dtype_from_trace(fields.string("dtype"), scanner);
-    if (fields.has("batch")) {
-      const double b = fields.number("batch");
-      if (b < 1.0 || b != static_cast<double>(static_cast<int>(b))) {
-        scanner.fail("batch must be an integer >= 1");
-      }
-      r.batch = static_cast<int>(b);
-    }
+    r.dtype = fields.dtype("dtype");
+    if (fields.has("batch")) r.batch = fields.integer("batch", 1);
     if (fields.has("deadline")) r.deadline_s = fields.number("deadline");
     if (fields.has("tenant")) r.tenant = fields.string("tenant");
     if (fields.has("seed")) r.seed = fields.u64("seed");
     fields.check_no_unknown();
     trace.requests.push_back(std::move(r));
-  }
+  });
   if (!have_header) {
     throw Error(
         "trace: missing header line ({\"fcm_trace\": 1, \"name\": ..., "
@@ -337,22 +96,11 @@ void validate_trace(const Trace& trace) {
 }
 
 Trace load_trace_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  FCM_CHECK(is.good(), "trace: cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  try {
-    return parse_trace(buf.str());
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " [" + path + "]");
-  }
+  return jsonl::load_file(path, "trace", parse_trace);
 }
 
 void save_trace_file(const Trace& trace, const std::string& path) {
-  std::ofstream os(path, std::ios::trunc | std::ios::binary);
-  FCM_CHECK(os.good(), "trace: cannot write '" + path + "'");
-  os << serialize_trace(trace);
-  FCM_CHECK(os.good(), "trace: write to '" + path + "' failed");
+  jsonl::save_file(path, serialize_trace(trace), "trace");
 }
 
 std::vector<serving::InferenceEngine::Request> trace_mix(const Trace& trace,

@@ -12,12 +12,13 @@
 //   {"t": 0.004, "model": "Tiny", "dtype": "int8", "batch": 2,
 //    "deadline": 0.05, "tenant": "bulk", "seed": 12}
 //
-// Parsing is strict — unknown keys, duplicate keys, nested values, a wrong
-// version, a request-count mismatch or non-monotone arrivals all throw
-// fcm::Error with the offending line number — so a trace that loads is a
-// trace the replay engines can trust. Serialisation renders doubles with
-// %.17g, which round-trips every IEEE double exactly: serialize/parse is an
-// identity, and byte-identical traces mean identical workloads.
+// Parsing is strict (the shared scanner in common/jsonl.hpp) — unknown keys,
+// duplicate keys, nested values, out-of-range numbers, a wrong version, a
+// request-count mismatch or non-monotone arrivals all throw fcm::Error with
+// the offending line number — so a trace that loads is a trace the replay
+// engines can trust. Serialisation renders doubles in the shortest form that
+// round-trips exactly: serialize/parse is an identity, and byte-identical
+// traces mean identical workloads.
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,7 @@
 #include "autotune/features.hpp"
 #include "autotune/fit.hpp"
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 #include "common/random.hpp"
 #include "gpusim/device_spec.hpp"
 #include "models/model_zoo.hpp"
@@ -151,6 +152,16 @@ TEST(FeatureLog, RejectsMalformedInput) {
   EXPECT_THROW(parse_feature_log(replace_once(good, "\"predicted\": 0.001",
                                               "\"predicted\": -0.001")),
                Error);
+  // Range rules of the shared scanner: no infinities, no out-of-range cast.
+  EXPECT_THROW(parse_feature_log(replace_once(good, "\"predicted\": 0.001",
+                                              "\"predicted\": 1e999")),
+               Error);
+  EXPECT_THROW(parse_feature_log(replace_once(good, "\"executed\": 0,",
+                                              "\"executed\": 1e999,")),
+               Error);
+  EXPECT_THROW(parse_feature_log(replace_once(good, "\"batch\": 1",
+                                              "\"batch\": 1e10")),
+               Error);
   // Structural damage: trailing garbage, truncation, missing header.
   EXPECT_THROW(parse_feature_log(good + "not json\n"), Error);
   EXPECT_THROW(parse_feature_log(good.substr(0, good.size() / 2)), Error);
@@ -181,6 +192,10 @@ TEST(CostModelFile, SerializeParseRoundTrip) {
                                              "\"rockets\"")),
                Error);
   EXPECT_THROW(parse_cost_model(text + text), Error);  // trailing object
+  EXPECT_THROW(parse_cost_model(replace_once(
+                   text, "\"launches\": " + jsonl::fmt_double_rt(w[0]),
+                   "\"launches\": 1e999")),
+               Error);  // an infinite weight
   EXPECT_THROW(parse_cost_model(""), Error);
 }
 

@@ -339,13 +339,13 @@ TEST(InferenceEngine, ConcurrentSubmitsBitIdenticalToSerialRunner) {
   // Four concurrent clients; seeds {1, 2, 3, 1} — the duplicate seed checks
   // request independence too.
   const std::uint64_t seeds[4] = {1, 2, 3, 1};
-  std::vector<InferenceEngine::Result> results(4);
+  std::vector<ServeResponse> results(4);
   std::vector<std::thread> clients;
   for (std::size_t i = 0; i < 4; ++i) {
     clients.emplace_back([&, i] {
       TensorF input(model.layers.front().ifm_shape());
       fill_uniform(input, seeds[i]);
-      results[i] = engine.submit("Mob_v1", input);
+      results[i] = engine.submit(ServeRequest::f32("Mob_v1", {input}));
     });
   }
   for (auto& t : clients) t.join();
@@ -354,7 +354,8 @@ TEST(InferenceEngine, ConcurrentSubmitsBitIdenticalToSerialRunner) {
     TensorF input(model.layers.front().ifm_shape());
     fill_uniform(input, seeds[i]);
     const TensorF expect = direct.run_f32(plan, input);
-    EXPECT_EQ(max_abs_diff(results[i].output, expect), 0.0f)
+    ASSERT_EQ(results[i].outputs_f32.size(), 1u);
+    EXPECT_EQ(max_abs_diff(results[i].outputs_f32.front(), expect), 0.0f)
         << "request " << i << " diverged from serial execution";
     EXPECT_GT(results[i].sim_time_s, 0.0);
     EXPECT_GT(results[i].gma_bytes, 0);
@@ -388,7 +389,7 @@ TEST(InferenceEngine, UnknownModelThrowsAndEngineStaysUsable) {
   EngineOptions opt;
   InferenceEngine engine(gpusim::gtx1660(), opt);
   TensorF input(3, 8, 8);
-  EXPECT_THROW(engine.submit("NoSuchNet", input), Error);
+  EXPECT_THROW(engine.submit(ServeRequest::f32("NoSuchNet", {input})), Error);
   // The failed build released its slot; a valid request still works.
   EXPECT_NO_THROW(engine.plan_for("Mob_v1"));
 }
@@ -431,12 +432,12 @@ TEST(InferenceEngine, BatchedSubmitBitIdenticalToPerItemSubmits) {
   EXPECT_GT(resp.sim_time_s, 0.0);
   EXPECT_GT(resp.gma_bytes, 0);
 
-  // Every batch item equals its own single-image submit (through the legacy
-  // shim, which also keeps the old API covered), bit for bit.
+  // Every batch item equals its own single-image submit, bit for bit.
   double sum_single_sim = 0.0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto single = engine.submit("Tiny", batch[i]);
-    EXPECT_EQ(max_abs_diff(resp.outputs_f32[i], single.output), 0.0f)
+    const auto single = engine.submit(ServeRequest::f32("Tiny", {batch[i]}));
+    EXPECT_EQ(max_abs_diff(resp.outputs_f32[i], single.outputs_f32.front()),
+              0.0f)
         << "batch item " << i << " diverged from per-item submit";
     sum_single_sim += single.sim_time_s;
   }

@@ -200,6 +200,21 @@ TEST(TraceFormat, MalformedTracesAreRejectedWithLineNumbers) {
            "{\"t\": -0.5, \"model\": \"Tiny\", \"dtype\": \"fp32\", "
            "\"seed\": 2}\n"},
       {"missing model", header + "{\"t\": 0, \"dtype\": \"fp32\"}\n"},
+      // Range rules of the shared scanner: no clamping, no infinities, no
+      // out-of-range cast.
+      {"seed past 2^64-1",
+       "{\"fcm_trace\": 1, \"name\": \"x\", \"seed\": "
+       "18446744073709551616, \"requests\": 1}\n" +
+           rec},
+      {"infinite arrival", header +
+           "{\"t\": 1e999, \"model\": \"Tiny\", \"dtype\": \"fp32\", "
+           "\"seed\": 1}\n"},
+      {"infinite deadline", header +
+           "{\"t\": 0, \"model\": \"Tiny\", \"dtype\": \"fp32\", "
+           "\"deadline\": 1e999, \"seed\": 1}\n"},
+      {"batch past INT_MAX", header +
+           "{\"t\": 0, \"model\": \"Tiny\", \"dtype\": \"fp32\", "
+           "\"batch\": 1e10, \"seed\": 1}\n"},
   };
   for (const Case& c : cases) {
     EXPECT_THROW(parse_trace(c.text), Error) << c.what;
