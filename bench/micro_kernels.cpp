@@ -3,6 +3,10 @@
 // itself); the paper's GPU-time figures come from the roofline model and are
 // reported by the fig* benches.
 //
+// Every case uses UseRealTime(): the blocks run on ThreadPool workers, not on
+// the benchmark thread, so rates against the calling thread's CPU time would
+// be inflated by the worker count and more.
+//
 // Runs under google-benchmark when installed (CMake defines
 // FCM_HAVE_GOOGLE_BENCHMARK); otherwise the built-in minibench harness
 // provides the same BENCHMARK/State surface so the target always builds.
@@ -37,7 +41,7 @@ void BM_PwF32(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * spec.macs());
 }
-BENCHMARK(BM_PwF32)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_PwF32)->Arg(32)->Arg(64)->Arg(128)->UseRealTime();
 
 void BM_PwI8(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
@@ -55,7 +59,27 @@ void BM_PwI8(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * spec.macs());
 }
-BENCHMARK(BM_PwI8)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_PwI8)->Arg(32)->Arg(64)->Arg(128)->UseRealTime();
+
+void BM_StdF32(benchmark::State& state) {
+  // CeiT's image-to-token stem: 7x7 stride-2 conv over an RGB image.
+  const int hw = static_cast<int>(state.range(0));
+  const auto spec =
+      LayerSpec::standard("stem", 3, hw, hw, 32, 7, 2, ActKind::kGELU);
+  TensorF ifm(spec.ifm_shape());
+  fill_uniform(ifm, 1);
+  WeightsF w(spec.filter_shape());
+  fill_uniform(w, 2);
+  const auto bn = BatchNorm::identity(32);
+  const EpilogueF32 ep(bn, ActKind::kGELU);
+  TensorF ofm(spec.ofm_shape());
+  const ConvTiling t{8, 14, 16};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_std_f32(kDev, spec, ifm, w, ep, ofm, t));
+  }
+  state.SetItemsProcessed(state.iterations() * spec.macs());
+}
+BENCHMARK(BM_StdF32)->Arg(56)->Arg(112)->UseRealTime();
 
 void BM_DwF32(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
@@ -73,7 +97,7 @@ void BM_DwF32(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * spec.macs());
 }
-BENCHMARK(BM_DwF32)->Arg(32)->Arg(128);
+BENCHMARK(BM_DwF32)->Arg(32)->Arg(128)->UseRealTime();
 
 void BM_FcmDwPwF32(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
@@ -95,7 +119,7 @@ void BM_FcmDwPwF32(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (dw.macs() + pw.macs()));
 }
-BENCHMARK(BM_FcmDwPwF32)->Arg(32)->Arg(64);
+BENCHMARK(BM_FcmDwPwF32)->Arg(32)->Arg(64)->UseRealTime();
 
 void BM_FcmPwDwF32(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
@@ -117,7 +141,30 @@ void BM_FcmPwDwF32(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (pw.macs() + dw.macs()));
 }
-BENCHMARK(BM_FcmPwDwF32)->Arg(32)->Arg(64);
+BENCHMARK(BM_FcmPwDwF32)->Arg(32)->Arg(64)->UseRealTime();
+
+void BM_FcmPwDwI8(benchmark::State& state) {
+  const int c = static_cast<int>(state.range(0));
+  const auto pw = LayerSpec::pointwise("pw", c, 14, 14, 2 * c);
+  const auto dw = LayerSpec::depthwise("dw", 2 * c, 14, 14, 3, 1);
+  TensorI8 ifm(pw.ifm_shape());
+  fill_uniform_i8(ifm, 1);
+  WeightsI8 w1(pw.filter_shape()), w2(dw.filter_shape());
+  fill_uniform_i8(w1, 2);
+  fill_uniform_i8(w2, 3);
+  const auto bn1 = BatchNorm::identity(2 * c);
+  const auto bn2 = BatchNorm::identity(2 * c);
+  const QuantParams q{0.1f, 0.02f, 0.1f};
+  const EpilogueI8 ep1(bn1, ActKind::kReLU6, q), ep2(bn2, ActKind::kReLU6, q);
+  TensorI8 ofm(dw.ofm_shape());
+  const FcmTiling t{7, 7, std::min(2 * c, 32), 0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        run_pwdw_i8(kDev, pw, dw, ifm, w1, w2, ep1, ep2, ofm, t));
+  }
+  state.SetItemsProcessed(state.iterations() * (pw.macs() + dw.macs()));
+}
+BENCHMARK(BM_FcmPwDwI8)->Arg(32)->Arg(64)->UseRealTime();
 
 void BM_FcmPwPwI8(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
@@ -140,7 +187,7 @@ void BM_FcmPwPwI8(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (pw1.macs() + pw2.macs()));
 }
-BENCHMARK(BM_FcmPwPwI8)->Arg(32)->Arg(64);
+BENCHMARK(BM_FcmPwPwI8)->Arg(32)->Arg(64)->UseRealTime();
 
 }  // namespace
 }  // namespace fcm

@@ -2,8 +2,8 @@
 // bench/micro_kernels.cpp uses, so the target builds and runs even when the
 // library is not installed (CMake defines FCM_HAVE_GOOGLE_BENCHMARK when it
 // is, and micro_kernels.cpp includes the real <benchmark/benchmark.h>
-// instead). Implements: BENCHMARK(fn)->Arg(n) registration chains,
-// `for (auto _ : state)` iteration with adaptive iteration counts,
+// instead). Implements: BENCHMARK(fn)->Arg(n)->UseRealTime() registration
+// chains, `for (auto _ : state)` iteration with adaptive iteration counts,
 // state.range(0), state.iterations(), state.SetItemsProcessed and
 // DoNotOptimize. Timing is wall-clock around the measured loop; output is
 // one "name/arg  time/iter  items/s" line per case — enough for regression
@@ -126,6 +126,8 @@ class Registrar {
     argged_ = true;
     return this;
   }
+  /// No-op: this harness always times wall-clock.
+  Registrar* UseRealTime() { return this; }
 
  private:
   std::string name_;

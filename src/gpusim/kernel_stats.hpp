@@ -55,6 +55,7 @@ struct KernelStats {
   std::int64_t total_ops() const { return flops + int_ops; }
 
   KernelStats& operator+=(const KernelStats& o);
+  friend bool operator==(const KernelStats&, const KernelStats&) = default;
   friend KernelStats operator+(KernelStats a, const KernelStats& b) {
     a += b;
     return a;

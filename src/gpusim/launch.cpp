@@ -7,6 +7,20 @@
 
 namespace fcm::gpusim {
 
+namespace {
+
+/// This host thread's shared-memory arena, reset for the next block. Blocks
+/// on one thread run one after another (a kernel body never launches), so
+/// one grow-only arena per thread replaces a device-sized allocation and
+/// zero-fill per block.
+SharedMemory& block_arena(std::int64_t capacity_bytes) {
+  thread_local SharedMemory arena(0);
+  arena.reset(capacity_bytes);
+  return arena;
+}
+
+}  // namespace
+
 KernelStats launch_kernel(const DeviceSpec& dev, const std::string& name,
                           const LaunchConfig& cfg, const BlockBody& body) {
   FCM_CHECK(cfg.grid_blocks > 0, "kernel '" + name + "': empty grid");
@@ -26,7 +40,7 @@ KernelStats launch_kernel(const DeviceSpec& dev, const std::string& name,
 
   ThreadPool::global().parallel_for(
       cfg.grid_blocks, [&](std::int64_t block_id) {
-        SharedMemory shmem(dev.max_shared_bytes);
+        SharedMemory& shmem = block_arena(dev.max_shared_bytes);
         KernelStats local;
         BlockContext ctx(block_id, shmem, local);
         body(ctx);

@@ -4,7 +4,8 @@
 // grid. Blocks run in parallel on the host thread pool, each with a private
 // SharedMemory arena and a private KernelStats accumulator (merged on
 // completion) — mirroring how SMs execute CUDA blocks independently with
-// private L1/shared memory. Numerics inside the block body are real, so every
+// private L1/shared memory. The arena is the host thread's own, reset for
+// every block it runs. Numerics inside the block body are real, so every
 // kernel's output is testable against a reference implementation.
 #pragma once
 

@@ -4,10 +4,18 @@
 
 namespace fcm::gpusim {
 
-SharedMemory::SharedMemory(std::int64_t capacity_bytes)
-    : capacity_(capacity_bytes) {
+SharedMemory::SharedMemory(std::int64_t capacity_bytes) {
+  reset(capacity_bytes);
+}
+
+void SharedMemory::reset(std::int64_t capacity_bytes) {
   FCM_CHECK(capacity_bytes >= 0, "negative shared memory capacity");
-  storage_.resize(static_cast<std::size_t>(capacity_bytes));
+  if (static_cast<std::size_t>(capacity_bytes) > storage_.size()) {
+    storage_.resize(static_cast<std::size_t>(capacity_bytes));
+  }
+  capacity_ = capacity_bytes;
+  used_ = 0;
+  bank_conflicts_ = 0;
 }
 
 std::byte* SharedMemory::allocate_raw(std::int64_t bytes, std::size_t align,

@@ -1,10 +1,12 @@
 // Simulated per-SM shared memory (the programmer-managed portion of L1).
 //
-// Each simulated thread block owns one SharedMemory arena. Kernels allocate
-// their staging buffers (the FCM commBuffer, weight tiles) from it; the arena
-// enforces the device's capacity limit — exceeding it is the simulated
-// equivalent of a CUDA launch failure, and FusePlanner's first constraint
-// (Eq. 2–4: tiles must fit in L1) exists to avoid exactly that.
+// Each simulated thread block owns one SharedMemory arena for its lifetime.
+// Kernels allocate their staging buffers (the FCM commBuffer, weight tiles)
+// from it; the arena enforces the device's capacity limit — exceeding it is
+// the simulated equivalent of a CUDA launch failure, and FusePlanner's first
+// constraint (Eq. 2–4: tiles must fit in L1) exists to avoid exactly that.
+// The launch engine keeps one arena per host thread and reset()s it for every
+// block, so its host storage is allocated once, not once per block.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +19,17 @@
 
 namespace fcm::gpusim {
 
-/// Arena allocator with the lifetime of one simulated thread block.
+/// Arena allocator holding one simulated thread block's shared memory.
 class SharedMemory {
  public:
   /// `capacity_bytes` is the device's configurable shared-memory limit.
   explicit SharedMemory(std::int64_t capacity_bytes);
+
+  /// Start a new block with capacity `capacity_bytes`: nothing allocated and
+  /// no bank conflicts recorded. Host storage only ever grows, and
+  /// allocate() zero-fills what it hands out, so a block never sees the
+  /// previous block's data.
+  void reset(std::int64_t capacity_bytes);
 
   /// Allocate `count` elements of T, zero-initialised, 16-byte aligned.
   /// Throws fcm::Error when the block's shared memory is exhausted —

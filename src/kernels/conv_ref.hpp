@@ -21,7 +21,7 @@ TensorI8 conv_ref_i8(const LayerSpec& spec, const TensorI8& ifm,
                      const WeightsI8& w, const EpilogueI8& ep);
 
 /// INT8 reference returning the raw int32 accumulators (pre-epilogue); used
-/// to validate the dp4a path bit-exactly.
+/// to validate the int32 accumulation bit-exactly.
 TensorI32 conv_ref_i8_acc(const LayerSpec& spec, const TensorI8& ifm,
                           const WeightsI8& w);
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <type_traits>
+#include <vector>
 
 #include "gpusim/launch.hpp"
+#include "kernels/mac_loops.hpp"
 
 namespace fcm {
 
@@ -122,37 +124,40 @@ gpusim::KernelStats run_dwpw_impl(const gpusim::DeviceSpec& dev,
     ctx.shared().note_warp_access(1, ceil_div(mid_elems * esz, 4 * kWarpSize));
 
     // Part 4: PW conv-norm-act, filters streamed in chunks; the intermediate
-    // stays resident in the commBuffer across all chunks.
+    // stays resident in the commBuffer across all chunks. Each chunk's
+    // weights are staged transposed, [c][filter], and its partial sums kept
+    // [pixel][filter], so the MAC loop runs unit-stride across the chunk's
+    // filters while each output still sums over c in order.
     auto wpw_chunk = ctx.shared().template allocate<In>(
         static_cast<std::int64_t>(t.chunk_f) * C, "pw_weights_chunk");
+    std::vector<Acc> acc(static_cast<std::size_t>(hcur) * wcur * t.chunk_f);
     std::int64_t macs2 = 0;
     for (int f0 = 0; f0 < F2; f0 += t.chunk_f) {
       const int fcur = std::min(t.chunk_f, F2 - f0);
       for (int f = 0; f < fcur; ++f) {
+        const In* src = &w_pw.at(f0 + f, 0, 0, 0);
         for (int c = 0; c < C; ++c) {
-          wpw_chunk[static_cast<std::size_t>(f) * C + c] = w_pw.at(f0 + f, c, 0, 0);
+          wpw_chunk[static_cast<std::size_t>(c) * fcur + f] = src[c];
         }
       }
       const std::int64_t wbytes = static_cast<std::int64_t>(fcur) * C * esz;
       ctx.load_weights(wbytes);
       ctx.shared_store(wbytes);
 
-      for (int f = 0; f < fcur; ++f) {
-        const In* wrow = &wpw_chunk[static_cast<std::size_t>(f) * C];
-        for (int oh = oh0; oh < oh0 + hcur; ++oh) {
-          for (int ow = ow0; ow < ow0 + wcur; ++ow) {
-            Acc acc = 0;
-            const std::size_t local =
-                static_cast<std::size_t>(oh - oh0) * t.tile_w + (ow - ow0);
-            for (int c = 0; c < C; ++c) {
-              acc += static_cast<Acc>(comm[static_cast<std::size_t>(c) * tile_hw + local]) *
-                     static_cast<Acc>(wrow[c]);
-            }
-            ofm.at(f0 + f, oh, ow) = ep2.apply(f0 + f, acc);
-          }
-        }
-        macs2 += static_cast<std::int64_t>(hcur) * wcur * C;
+      std::fill(acc.begin(), acc.end(), Acc{0});
+      for (int oh = 0; oh < hcur; ++oh) {
+        mac_panel(&acc[static_cast<std::size_t>(oh) * wcur * fcur],
+                  &comm[static_cast<std::size_t>(oh) * t.tile_w], tile_hw,
+                  wpw_chunk.data(), C, wcur, fcur);
       }
+      for (int f = 0; f < fcur; ++f) {
+        for (int oh = 0; oh < hcur; ++oh) {
+          ep2.apply_row(f0 + f,
+                        &acc[static_cast<std::size_t>(oh) * wcur * fcur + f],
+                        fcur, &ofm.at(f0 + f, oh0 + oh, ow0), 1, wcur);
+        }
+      }
+      macs2 += static_cast<std::int64_t>(fcur) * hcur * wcur * C;
     }
     // Shared traffic: PW reads both its weights and the intermediate.
     ctx.shared_load(2 * macs2 * esz + macs1 * esz);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <type_traits>
+#include <vector>
 
 #include "gpusim/launch.hpp"
+#include "kernels/mac_loops.hpp"
 
 namespace fcm {
 
@@ -41,8 +43,7 @@ gpusim::KernelStats run_pwdw_impl(const gpusim::DeviceSpec& dev,
   const std::int64_t nw = ceil_div(W, t.tile_w);
   const std::int64_t esz = static_cast<std::int64_t>(dtype_size(dt));
   const int mid_tw = in_extent(t.tile_w, dw.kw, dw.stride);
-  // Rolling line buffer: per channel, only the last kh intermediate rows are
-  // resident (row r lives in slot r % kh).
+  // Rolling line buffer: only the last kh intermediate rows are resident.
   const std::int64_t comm_rows = dw.kh;
 
   gpusim::LaunchConfig cfg;
@@ -83,39 +84,39 @@ gpusim::KernelStats run_pwdw_impl(const gpusim::DeviceSpec& dev,
         static_cast<std::int64_t>(mh_cnt) * mw_cnt -
         static_cast<std::int64_t>(mh_cnt - red_h) * (mw_cnt - red_w);
 
-    // Part 1: rolling commBuffer — kh intermediate rows per tile channel.
+    // Part 1: rolling commBuffer — kh intermediate rows of the tile's
+    // channels, laid out [row slot][mw][c] (row r lives in slot r % kh) so
+    // both layers' MAC loops run unit-stride across channels.
     auto comm = ctx.shared().template allocate<In>(
         static_cast<std::int64_t>(t.tile_c) * comm_rows * mid_tw,
         "commBuffer");
-    auto comm_at = [&](int c, int mh, int mw) -> In& {
-      return comm[(static_cast<std::size_t>(c) * comm_rows +
-                   static_cast<std::size_t>(mh % dw.kh)) *
-                      mid_tw +
-                  static_cast<std::size_t>(mw - mw_lo)];
+    auto comm_px = [&](int mh, int mw) -> In* {
+      return &comm[(static_cast<std::size_t>(mh % dw.kh) * mid_tw +
+                    static_cast<std::size_t>(mw - mw_lo)) *
+                   ccur];
     };
 
-    // Part 2: prefetch both layers' weight slices for the channel tile.
+    // Part 2: prefetch both layers' weight slices for the channel tile,
+    // transposed to [input channel][c] and [kh][kw][c].
     auto w1 = ctx.shared().template allocate<In>(
         static_cast<std::int64_t>(t.tile_c) * C1, "pw_weights");
     for (int c = 0; c < ccur; ++c) {
+      const In* src = &w_pw.at(c0 + c, 0, 0, 0);
       for (int c1 = 0; c1 < C1; ++c1) {
-        w1[static_cast<std::size_t>(c) * C1 + c1] = w_pw.at(c0 + c, c1, 0, 0);
+        w1[static_cast<std::size_t>(c1) * ccur + c] = src[c1];
       }
     }
+    const int taps = dw.kh * dw.kw;
     auto w2 = ctx.shared().template allocate<In>(
-        static_cast<std::int64_t>(t.tile_c) * dw.kh * dw.kw, "dw_weights");
+        static_cast<std::int64_t>(t.tile_c) * taps, "dw_weights");
     for (int c = 0; c < ccur; ++c) {
-      for (int kh = 0; kh < dw.kh; ++kh) {
-        for (int kw = 0; kw < dw.kw; ++kw) {
-          w2[(static_cast<std::size_t>(c) * dw.kh + kh) * dw.kw + kw] =
-              w_dw.at(c0 + c, 0, kh, kw);
-        }
+      const In* src = &w_dw.at(c0 + c, 0, 0, 0);
+      for (int k = 0; k < taps; ++k) {
+        w2[static_cast<std::size_t>(k) * ccur + c] = src[k];
       }
     }
     const std::int64_t wbytes =
-        (static_cast<std::int64_t>(ccur) * C1 +
-         static_cast<std::int64_t>(ccur) * dw.kh * dw.kw) *
-        esz;
+        static_cast<std::int64_t>(ccur) * (C1 + taps) * esz;
     ctx.load_weights(wbytes);
     ctx.shared_store(wbytes);
     ctx.shared().note_warp_access(1, ceil_div(wbytes, 4 * kWarpSize));
@@ -124,53 +125,58 @@ gpusim::KernelStats run_pwdw_impl(const gpusim::DeviceSpec& dev,
     // channel-tile reload factor and the halo reload of Eq. 4 materialise.
     ctx.load_ifm(static_cast<std::int64_t>(C1) * mh_cnt * mw_cnt * esz);
 
-    // Parts 3+4 interleaved: for each channel of the tile, the PW produces
-    // intermediate rows into the rolling buffer and the DW consumes each
-    // output row as soon as its last input row is resident.
+    // Parts 3+4 interleaved: the PW produces intermediate rows into the
+    // rolling buffer and the DW consumes each output row as soon as its last
+    // input row is resident. Every output keeps the reference's summation
+    // order: input channels for the PW, kh then kw for the DW.
+    std::vector<Acc> acc1(static_cast<std::size_t>(mw_cnt) * ccur);
+    std::vector<Acc> acc2(static_cast<std::size_t>(wcur) * ccur);
     std::int64_t macs1 = 0;
     std::int64_t macs2 = 0;
-    for (int c = 0; c < ccur; ++c) {
-      const In* wrow = &w1[static_cast<std::size_t>(c) * C1];
-      const In* ws = &w2[static_cast<std::size_t>(c) * dw.kh * dw.kw];
-      int next_oh = oh0;  // next DW output row to emit
-      for (int mh = mh_lo; mh < mh_hi; ++mh) {
-        // PW conv-norm-act for intermediate row mh.
-        for (int mw = mw_lo; mw < mw_hi; ++mw) {
-          Acc acc = 0;
-          for (int c1 = 0; c1 < C1; ++c1) {
-            acc += static_cast<Acc>(ifm.at(c1, mh, mw)) *
-                   static_cast<Acc>(wrow[c1]);
-          }
-          comm_at(c, mh, mw) = ep1.apply(c0 + c, acc);
-          macs1 += C1;
-        }
-        // DW conv-norm-act for every output row now fully available.
-        while (next_oh < oh0 + hcur) {
-          const int last_needed =
-              std::min(next_oh * dw.stride - dw.pad + dw.kh - 1, mh_hi - 1);
-          if (last_needed > mh) break;
-          const int ih0 = next_oh * dw.stride - dw.pad;
-          for (int ow = ow0; ow < ow0 + wcur; ++ow) {
-            Acc acc = 0;
-            const int iw0 = ow * dw.stride - dw.pad;
-            for (int kh = 0; kh < dw.kh; ++kh) {
-              const int m = ih0 + kh;
-              if (m < mh_lo || m >= mh_hi) continue;  // zero padding
-              for (int kw = 0; kw < dw.kw; ++kw) {
-                const int mw = iw0 + kw;
-                if (mw < mw_lo || mw >= mw_hi) continue;
-                acc += static_cast<Acc>(comm_at(c, m, mw)) *
-                       static_cast<Acc>(ws[kh * dw.kw + kw]);
-                ++macs2;
-              }
-            }
-            ofm.at(c0 + c, next_oh, ow) = ep2.apply(c0 + c, acc);
-          }
-          ++next_oh;
-        }
+    int next_oh = oh0;  // next DW output row to emit
+    for (int mh = mh_lo; mh < mh_hi; ++mh) {
+      // PW conv-norm-act for intermediate row mh.
+      std::fill(acc1.begin(), acc1.end(), Acc{0});
+      mac_panel(acc1.data(), &ifm.at(0, mh, mw_lo), ifm.shape().hw(), w1.data(),
+                C1, mw_cnt, ccur);
+      In* row = comm_px(mh, mw_lo);
+      for (int c = 0; c < ccur; ++c) {
+        ep1.apply_row(c0 + c, &acc1[static_cast<std::size_t>(c)], ccur, row + c,
+                      ccur, mw_cnt);
       }
-      FCM_ASSERT(next_oh == oh0 + hcur, "PWDW rolling buffer under-produced");
+      macs1 += static_cast<std::int64_t>(ccur) * mw_cnt * C1;
+
+      // DW conv-norm-act for every output row now fully available.
+      while (next_oh < oh0 + hcur) {
+        const int last_needed =
+            std::min(next_oh * dw.stride - dw.pad + dw.kh - 1, mh_hi - 1);
+        if (last_needed > mh) break;
+        const int ih0 = next_oh * dw.stride - dw.pad;
+        std::fill(acc2.begin(), acc2.end(), Acc{0});
+        for (int ow = ow0; ow < ow0 + wcur; ++ow) {
+          Acc* a = &acc2[static_cast<std::size_t>(ow - ow0) * ccur];
+          const int iw0 = ow * dw.stride - dw.pad;
+          for (int kh = 0; kh < dw.kh; ++kh) {
+            const int m = ih0 + kh;
+            if (m < mh_lo || m >= mh_hi) continue;  // zero padding
+            for (int kw = 0; kw < dw.kw; ++kw) {
+              const int mw = iw0 + kw;
+              if (mw < mw_lo || mw >= mw_hi) continue;
+              mac_elementwise(
+                  a, comm_px(m, mw),
+                  &w2[static_cast<std::size_t>(kh * dw.kw + kw) * ccur], ccur);
+              macs2 += ccur;
+            }
+          }
+        }
+        for (int c = 0; c < ccur; ++c) {
+          ep2.apply_row(c0 + c, &acc2[static_cast<std::size_t>(c)], ccur,
+                        &ofm.at(c0 + c, next_oh, ow0), 1, wcur);
+        }
+        ++next_oh;
+      }
     }
+    FCM_ASSERT(next_oh == oh0 + hcur, "PWDW rolling buffer under-produced");
     const std::int64_t red_macs =
         red_elems * static_cast<std::int64_t>(ccur) * C1;
     const std::int64_t mid_elems =

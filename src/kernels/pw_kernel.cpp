@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "gpusim/launch.hpp"
-#include "kernels/int8_pack.hpp"
+#include "kernels/mac_loops.hpp"
 
 namespace fcm {
 
@@ -59,20 +59,24 @@ gpusim::KernelStats run_pw_impl(const gpusim::DeviceSpec& dev,
     const int ow0 = wi * t.tile_w;
     const int wcur = std::min(t.tile_w, W - ow0);
 
-    // Partial sums live in "registers" for the whole block (OS dataflow).
-    std::vector<Acc> acc(static_cast<std::size_t>(fcur) * hcur * wcur, Acc{0});
+    // Partial sums live in "registers" for the whole block (OS dataflow),
+    // laid out [pixel][filter] so every MAC loop runs unit-stride across the
+    // block's filters.
+    std::vector<Acc> acc(static_cast<std::size_t>(hcur) * wcur * fcur, Acc{0});
 
     // Part 2/3: stream input channels in chunks; each chunk's weight slice
     // is prefetched into shared memory contiguously (stride-1, conflict-free)
-    // and fully reused before the next chunk evicts it.
+    // and fully reused before the next chunk evicts it. The slice is staged
+    // transposed, [channel][filter], the order the MAC loop reads it in.
     auto wtile = ctx.shared().template allocate<In>(
         static_cast<std::int64_t>(t.tile_f) * kc, "pw_weights_chunk");
     std::int64_t macs = 0;
     for (int c0 = 0; c0 < C; c0 += kc) {
       const int ccur = std::min(kc, C - c0);
       for (int f = 0; f < fcur; ++f) {
+        const In* src = &w.at(f0 + f, c0, 0, 0);
         for (int c = 0; c < ccur; ++c) {
-          wtile[static_cast<std::size_t>(f) * kc + c] = w.at(f0 + f, c0 + c, 0, 0);
+          wtile[static_cast<std::size_t>(c) * fcur + f] = src[c];
         }
       }
       const std::int64_t wbytes = static_cast<std::int64_t>(fcur) * ccur * esz;
@@ -81,36 +85,13 @@ gpusim::KernelStats run_pw_impl(const gpusim::DeviceSpec& dev,
       ctx.shared().note_warp_access(/*stride_words=*/1,
                                     ceil_div(wbytes, 4 * kWarpSize));
 
-      for (int f = 0; f < fcur; ++f) {
-        const In* wrow = &wtile[static_cast<std::size_t>(f) * kc];
-        for (int oh = 0; oh < hcur; ++oh) {
-          for (int ow = 0; ow < wcur; ++ow) {
-            Acc& a = acc[(static_cast<std::size_t>(f) * hcur + oh) * wcur + ow];
-            if constexpr (std::is_same_v<In, std::int8_t>) {
-              // dp4a path: gather four strided channel values, pack, dot.
-              int c = 0;
-              for (; c + 4 <= ccur; c += 4) {
-                const std::uint32_t av = pack4(ifm.at(c0 + c, oh0 + oh, ow0 + ow),
-                                               ifm.at(c0 + c + 1, oh0 + oh, ow0 + ow),
-                                               ifm.at(c0 + c + 2, oh0 + oh, ow0 + ow),
-                                               ifm.at(c0 + c + 3, oh0 + oh, ow0 + ow));
-                const std::uint32_t bv =
-                    pack4(wrow[c], wrow[c + 1], wrow[c + 2], wrow[c + 3]);
-                a = dp4a(av, bv, a);
-              }
-              for (; c < ccur; ++c) {
-                a += static_cast<Acc>(ifm.at(c0 + c, oh0 + oh, ow0 + ow)) *
-                     static_cast<Acc>(wrow[c]);
-              }
-            } else {
-              for (int c = 0; c < ccur; ++c) {
-                a += ifm.at(c0 + c, oh0 + oh, ow0 + ow) * wrow[c];
-              }
-            }
-          }
-        }
-        macs += static_cast<std::int64_t>(hcur) * wcur * ccur;
+      // Each output's sum still runs over channels in order, chunk by chunk.
+      for (int oh = 0; oh < hcur; ++oh) {
+        mac_panel(&acc[static_cast<std::size_t>(oh) * wcur * fcur],
+                  &ifm.at(c0, oh0 + oh, ow0), ifm.shape().hw(), wtile.data(),
+                  ccur, wcur, fcur);
       }
+      macs += static_cast<std::int64_t>(fcur) * hcur * wcur * ccur;
     }
     // The IFM tile is read once per block through L1 (Eq. 2: reloaded once
     // per filter tile): chunks partition the channels, so the loop above
@@ -121,10 +102,8 @@ gpusim::KernelStats run_pw_impl(const gpusim::DeviceSpec& dev,
     // Part 4: epilogue + single store of each output (OS).
     for (int f = 0; f < fcur; ++f) {
       for (int oh = 0; oh < hcur; ++oh) {
-        for (int ow = 0; ow < wcur; ++ow) {
-          ofm.at(f0 + f, oh0 + oh, ow0 + ow) = ep.apply(
-              f0 + f, acc[(static_cast<std::size_t>(f) * hcur + oh) * wcur + ow]);
-        }
+        ep.apply_row(f0 + f, &acc[static_cast<std::size_t>(oh) * wcur * fcur + f],
+                     fcur, &ofm.at(f0 + f, oh0 + oh, ow0), 1, wcur);
       }
     }
     const std::int64_t outs = static_cast<std::int64_t>(fcur) * hcur * wcur;

@@ -26,7 +26,7 @@ gpusim::KernelStats run_pw_f32(const gpusim::DeviceSpec& dev,
                                const WeightsF& w, const EpilogueF32& ep,
                                TensorF& ofm, const ConvTiling& t);
 
-/// INT8 pointwise conv (dp4a inner product) + quantising epilogue.
+/// INT8 pointwise conv (exact int32 accumulation) + quantising epilogue.
 gpusim::KernelStats run_pw_i8(const gpusim::DeviceSpec& dev,
                               const LayerSpec& spec, const TensorI8& ifm,
                               const WeightsI8& w, const EpilogueI8& ep,

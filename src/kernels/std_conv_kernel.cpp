@@ -1,8 +1,10 @@
 #include "kernels/std_conv_kernel.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "gpusim/launch.hpp"
+#include "kernels/mac_loops.hpp"
 
 namespace fcm {
 
@@ -48,20 +50,18 @@ gpusim::KernelStats run_std_f32(const gpusim::DeviceSpec& dev,
     const int ow0 = wi * t.tile_w;
     const int wcur = std::min(t.tile_w, W - ow0);
 
+    // Weights staged transposed, [c][kh][kw][filter], the order the MAC loop
+    // reads them in.
+    const int taps = C * spec.kh * spec.kw;
     auto wtile = ctx.shared().allocate<float>(
-        static_cast<std::int64_t>(t.tile_f) * C * spec.kh * spec.kw,
-        "std_weights");
-    std::int64_t widx = 0;
+        static_cast<std::int64_t>(t.tile_f) * taps, "std_weights");
     for (int f = 0; f < fcur; ++f) {
-      for (int c = 0; c < C; ++c) {
-        for (int kh = 0; kh < spec.kh; ++kh) {
-          for (int kw = 0; kw < spec.kw; ++kw) {
-            wtile[static_cast<std::size_t>(widx++)] = w.at(f0 + f, c, kh, kw);
-          }
-        }
+      const float* src = &w.at(f0 + f, 0, 0, 0);
+      for (int k = 0; k < taps; ++k) {
+        wtile[static_cast<std::size_t>(k) * fcur + f] = src[k];
       }
     }
-    const std::int64_t wbytes = widx * esz;
+    const std::int64_t wbytes = static_cast<std::int64_t>(fcur) * taps * esz;
     ctx.load_weights(wbytes);
     ctx.shared_store(wbytes);
 
@@ -74,30 +74,39 @@ gpusim::KernelStats run_std_f32(const gpusim::DeviceSpec& dev,
     ctx.load_ifm(static_cast<std::int64_t>(C) * (ih_hi - ih_lo) *
                  (iw_hi - iw_lo) * esz);
 
+    // Partial sums [pixel][filter]; each output still sums over c, then kh,
+    // then kw, skipping the zero padding exactly as the reference does.
+    std::vector<float> acc(static_cast<std::size_t>(hcur) * wcur * fcur, 0.0f);
     std::int64_t macs = 0;
-    for (int f = 0; f < fcur; ++f) {
-      const float* wf =
-          &wtile[static_cast<std::size_t>(f) * C * spec.kh * spec.kw];
-      for (int oh = oh0; oh < oh0 + hcur; ++oh) {
-        for (int ow = ow0; ow < ow0 + wcur; ++ow) {
-          float acc = 0.0f;
-          const int ih0 = oh * spec.stride - spec.pad;
-          const int iw0 = ow * spec.stride - spec.pad;
-          for (int c = 0; c < C; ++c) {
-            const float* wc = wf + static_cast<std::size_t>(c) * spec.kh * spec.kw;
-            for (int kh = 0; kh < spec.kh; ++kh) {
-              const int ih = ih0 + kh;
-              if (ih < 0 || ih >= spec.in_h) continue;
-              for (int kw = 0; kw < spec.kw; ++kw) {
-                const int iw = iw0 + kw;
-                if (iw < 0 || iw >= spec.in_w) continue;
-                acc += ifm.at(c, ih, iw) * wc[kh * spec.kw + kw];
-                ++macs;
-              }
+    for (int oh = oh0; oh < oh0 + hcur; ++oh) {
+      float* arow = &acc[static_cast<std::size_t>(oh - oh0) * wcur * fcur];
+      const int ih0 = oh * spec.stride - spec.pad;
+      for (int c = 0; c < C; ++c) {
+        for (int kh = 0; kh < spec.kh; ++kh) {
+          const int ih = ih0 + kh;
+          if (ih < 0 || ih >= spec.in_h) continue;
+          const float* x = &ifm.at(c, ih, 0);
+          const float* wk = &wtile[static_cast<std::size_t>(
+                                       (c * spec.kh + kh) * spec.kw) *
+                                   fcur];
+          for (int ow = ow0; ow < ow0 + wcur; ++ow) {
+            float* a = arow + static_cast<std::size_t>(ow - ow0) * fcur;
+            const int iw0 = ow * spec.stride - spec.pad;
+            for (int kw = 0; kw < spec.kw; ++kw) {
+              const int iw = iw0 + kw;
+              if (iw < 0 || iw >= spec.in_w) continue;
+              mac_broadcast(a, x[iw], wk + static_cast<std::size_t>(kw) * fcur,
+                            fcur);
+              macs += fcur;
             }
           }
-          ofm.at(f0 + f, oh, ow) = ep.apply(f0 + f, acc);
         }
+      }
+    }
+    for (int f = 0; f < fcur; ++f) {
+      for (int oh = 0; oh < hcur; ++oh) {
+        ep.apply_row(f0 + f, &acc[static_cast<std::size_t>(oh) * wcur * fcur + f],
+                     fcur, &ofm.at(f0 + f, oh0 + oh, ow0), 1, wcur);
       }
     }
     ctx.shared_load(macs * esz);

@@ -36,9 +36,10 @@ std::uint64_t next_request_id() {
 std::string fmt_double(double v) {
   // Integral values (including negative) print without a decimal point so
   // counter-like series read naturally; everything else goes through %.9g,
-  // enough digits to round-trip the values the tests golden-match.
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      std::abs(v) < 1e15) {
+  // enough digits to round-trip the values the tests golden-match. The range
+  // test comes first: casting ±Inf, NaN or |v| >= 2^63 to int64 is UB.
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<std::int64_t>(v))) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld",
                   static_cast<long long>(static_cast<std::int64_t>(v)));

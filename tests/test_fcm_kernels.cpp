@@ -1,11 +1,12 @@
 // FCM kernel tests: every fused module must produce exactly what its two
-// LBL layers produce back-to-back (FP32 within FP tolerance, INT8
-// bit-exactly), its measured traffic must match the planner's operational
+// LBL layers produce back-to-back (bit-exactly in both precisions, on any
+// worker count), its measured traffic must match the planner's operational
 // FCM cost model, and PWDW_R's redundancy accounting must behave as the
 // paper describes.
 #include <gtest/gtest.h>
 
 #include "common/random.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/device_spec.hpp"
 #include "kernels/conv_ref.hpp"
 #include "kernels/kernel_registry.hpp"
@@ -85,7 +86,8 @@ TEST_P(FcmKernelTest, F32EqualsLayerByLayerReference) {
                               ep2, ofm, c.tiling);
   const auto mid = conv_ref_f32(first, ifm, w1, ep1);
   const auto ref = conv_ref_f32(second, mid, w2, ep2);
-  EXPECT_LE(max_abs_diff(ofm, ref), 1e-2f);
+  EXPECT_EQ(max_abs_diff(ofm, ref), 0.0f)
+      << "each output must keep the reference's summation order";
 
   const auto predicted =
       planner::fcm_stats(c.kind, first, second, c.tiling, DType::kF32);
@@ -123,6 +125,50 @@ TEST_P(FcmKernelTest, I8EqualsLayerByLayerBitExactly) {
   }
 }
 
+TEST_P(FcmKernelTest, OneAndFourWorkersAgreeExactly) {
+  const auto& c = GetParam();
+  const auto [first, second] = make_pair(c);
+  TensorF ifm(first.ifm_shape());
+  fill_uniform(ifm, 7);
+  WeightsF w1(first.filter_shape()), w2(second.filter_shape());
+  fill_uniform(w1, 8, -0.5f, 0.5f);
+  fill_uniform(w2, 9, -0.5f, 0.5f);
+  TensorI8 ifm8(first.ifm_shape());
+  fill_uniform_i8(ifm8, 7);
+  WeightsI8 w18(first.filter_shape()), w28(second.filter_shape());
+  fill_uniform_i8(w18, 8);
+  fill_uniform_i8(w28, 9);
+  const auto bn1 = BatchNorm::random(first.out_c, 10);
+  const auto bn2 = BatchNorm::random(second.out_c, 11);
+  const EpilogueF32 ep1(bn1, first.act), ep2(bn2, second.act);
+  const QuantParams q{0.1f, 0.02f, 0.1f};
+  const EpilogueI8 ep18(bn1, first.act, q), ep28(bn2, second.act, q);
+
+  struct Run {
+    TensorF out;
+    TensorI8 out8;
+    gpusim::KernelStats st, st8;
+  };
+  auto run_on = [&](unsigned workers) {
+    ThreadPool pool(workers);
+    ScopedPoolOverride guard(pool);
+    Run r{TensorF(second.ofm_shape()), TensorI8(second.ofm_shape()), {}, {}};
+    r.st = run_fcm_f32(kDev, c.kind, first, second, ifm, w1, w2, ep1, ep2,
+                       r.out, c.tiling);
+    r.st8 = run_fcm_i8(kDev, c.kind, first, second, ifm8, w18, w28, ep18, ep28,
+                       r.out8, c.tiling);
+    return r;
+  };
+  const Run one = run_on(1);
+  const Run four = run_on(4);
+  EXPECT_EQ(max_abs_diff(one.out, four.out), 0.0f);
+  EXPECT_EQ(one.st, four.st);
+  for (std::int64_t i = 0; i < one.out8.size(); ++i) {
+    ASSERT_EQ(one.out8[i], four.out8[i]) << "element " << i;
+  }
+  EXPECT_EQ(one.st8, four.st8);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, FcmKernelTest,
     testing::Values(
@@ -131,14 +177,22 @@ INSTANTIATE_TEST_SUITE_P(
         FcmCase{FcmKind::kDwPw, 16, 12, 12, 32, 0, 3, 2, {3, 3, 0, 32}},
         FcmCase{FcmKind::kDwPw, 24, 14, 14, 40, 0, 5, 1, {7, 5, 0, 8}},
         FcmCase{FcmKind::kDwPw, 8, 8, 8, 16, 0, 3, 1, {8, 8, 0, 16}},
+        // Remainders: C not a multiple of 4, F not a multiple of chunk_f.
+        FcmCase{FcmKind::kDwPw, 21, 11, 11, 37, 0, 3, 2, {4, 3, 0, 16}},
         // PWDW (redundancy-free): full spatial tile, channel splits.
         FcmCase{FcmKind::kPwDw, 16, 10, 10, 32, 0, 3, 1, {10, 10, 8, 0}},
         FcmCase{FcmKind::kPwDw, 24, 8, 8, 16, 0, 3, 2, {4, 4, 16, 0}},
         FcmCase{FcmKind::kPwDw, 12, 7, 7, 20, 0, 5, 1, {7, 7, 20, 0}},
+        // Channel remainder: 27 = 3 tiles of 8 + 3; 13 input channels.
+        FcmCase{FcmKind::kPwDw, 13, 9, 9, 27, 0, 3, 1, {9, 9, 8, 0}},
         // PWDW_R: spatial tiling → halo recompute.
         FcmCase{FcmKind::kPwDwR, 16, 12, 12, 24, 0, 3, 1, {4, 4, 8, 0}},
         FcmCase{FcmKind::kPwDwR, 16, 12, 12, 24, 0, 3, 2, {3, 3, 12, 0}},
         FcmCase{FcmKind::kPwDwR, 8, 16, 16, 16, 0, 5, 1, {8, 4, 16, 0}},
+        // Stride-2 padded DW in ragged spatial tiles with a channel
+        // remainder (21 = 2 tiles of 8 + 5), 3x3 and 5x5.
+        FcmCase{FcmKind::kPwDwR, 19, 13, 13, 21, 0, 3, 2, {3, 4, 8, 0}},
+        FcmCase{FcmKind::kPwDwR, 10, 12, 12, 18, 0, 5, 2, {2, 4, 7, 0}},
         // PWPW: chunked filters both sides.
         FcmCase{FcmKind::kPwPw, 16, 8, 8, 48, 24, 1, 1, {4, 4, 0, 16}},
         FcmCase{FcmKind::kPwPw, 32, 7, 7, 64, 32, 1, 1, {7, 7, 0, 32}},

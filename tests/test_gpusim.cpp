@@ -73,6 +73,24 @@ TEST(SharedMemory, WarpAccessAccumulatesConflicts) {
   EXPECT_EQ(sm.bank_conflicts(), 310);
 }
 
+TEST(SharedMemory, ResetStartsAFreshZeroedBlock) {
+  SharedMemory sm(1024);
+  auto a = sm.allocate<float>(64, "a");
+  for (float& v : a) v = 7.0f;
+  sm.note_warp_access(32, 1);
+  sm.reset(1024);
+  EXPECT_EQ(sm.used(), 0);
+  EXPECT_EQ(sm.bank_conflicts(), 0);
+  for (float v : sm.allocate<float>(64, "again")) EXPECT_EQ(v, 0.0f);
+  // The capacity follows reset() down as well as up, whatever storage the
+  // arena already holds.
+  sm.reset(100);
+  EXPECT_EQ(sm.capacity(), 100);
+  EXPECT_THROW(sm.allocate<float>(32, "too-big"), Error);
+  sm.reset(4096);
+  for (float v : sm.allocate<float>(1024, "grown")) EXPECT_EQ(v, 0.0f);
+}
+
 TEST(Launch, RunsEveryBlockAndMergesStats) {
   const auto dev = gtx1660();
   LaunchConfig cfg{/*grid_blocks=*/64, /*threads=*/128, /*shared=*/1024};
@@ -112,6 +130,40 @@ TEST(Launch, DetectsUndeclaredSharedAllocation) {
                              [](BlockContext& ctx) {
                                ctx.shared().allocate<float>(64, "oops");
                              }),
+               Error);
+}
+
+TEST(Launch, BlocksReuseArenasButSeeFreshSharedMemory) {
+  // Blocks on one host thread share its arena: each must still start with
+  // zeroed allocations, an empty arena and no inherited bank conflicts.
+  const auto dev = gtx1660();
+  LaunchConfig cfg{/*grid_blocks=*/256, /*threads=*/32, /*shared=*/4096};
+  std::atomic<std::int64_t> dirty{0};
+  const auto st = launch_kernel(dev, "t", cfg, [&](BlockContext& ctx) {
+    if (ctx.shared().used() != 0) dirty++;
+    auto buf = ctx.shared().allocate<std::int32_t>(1024, "buf");
+    for (std::int32_t& v : buf) {
+      if (v != 0) dirty++;
+      v = -1;
+    }
+    ctx.shared().note_warp_access(2, 3);  // 3 extra transactions
+  });
+  EXPECT_EQ(dirty.load(), 0);
+  EXPECT_EQ(st.bank_conflicts, 256 * 3);
+}
+
+TEST(Launch, SharedMemoryLimitFollowsEachLaunchDevice) {
+  // A launch on a device with more shared memory must not leave a larger
+  // arena capacity behind for the next launch on a smaller device.
+  const auto big = jetson_orin();
+  const auto small = gtx1660();
+  const std::int64_t bytes = small.max_shared_bytes + 4096;
+  ASSERT_LE(bytes, big.max_shared_bytes);
+  auto body = [&](BlockContext& ctx) {
+    ctx.shared().allocate<std::byte>(bytes, "tile");
+  };
+  EXPECT_NO_THROW(launch_kernel(big, "t", {8, 32, bytes}, body));
+  EXPECT_THROW(launch_kernel(small, "t", {8, 32, small.max_shared_bytes}, body),
                Error);
 }
 

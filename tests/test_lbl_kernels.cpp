@@ -1,10 +1,11 @@
 // Layer-by-layer kernel tests: numerics vs the naive reference across tiling
-// sweeps (parameterised), and measured traffic vs the planner's operational
-// cost model (must match exactly — the planner optimises what the kernels
-// actually do).
+// sweeps (parameterised; bit-identical in both precisions, on any worker
+// count), and measured traffic vs the planner's operational cost model (must
+// match exactly — the planner optimises what the kernels actually do).
 #include <gtest/gtest.h>
 
 #include "common/random.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/device_spec.hpp"
 #include "kernels/conv_ref.hpp"
 #include "kernels/kernel_registry.hpp"
@@ -58,7 +59,8 @@ TEST_P(LblKernelTest, F32MatchesReferenceAndCostModel) {
   TensorF ofm(spec.ofm_shape());
   const auto st = run_lbl_f32(kDev, spec, ifm, w, ep, ofm, c.tiling);
   const auto ref = conv_ref_f32(spec, ifm, w, ep);
-  EXPECT_LE(max_abs_diff(ofm, ref), 1e-3f);
+  EXPECT_EQ(max_abs_diff(ofm, ref), 0.0f)
+      << "each output must keep the reference's summation order";
 
   const auto predicted = planner::lbl_stats(spec, c.tiling, DType::kF32);
   EXPECT_EQ(st.global_load_bytes, predicted.global_load_bytes);
@@ -95,6 +97,47 @@ TEST_P(LblKernelTest, I8MatchesReferenceBitExactly) {
   EXPECT_EQ(st.int_ops, predicted.int_ops);
 }
 
+TEST_P(LblKernelTest, OneAndFourWorkersAgreeExactly) {
+  // Blocks own disjoint outputs and keep their own stats, so neither the
+  // outputs nor the merged stats may depend on how blocks map to workers.
+  const auto& c = GetParam();
+  const auto spec = make_spec(c);
+  TensorF ifm(spec.ifm_shape());
+  fill_uniform(ifm, 42);
+  WeightsF w(spec.filter_shape());
+  fill_uniform(w, 43, -0.5f, 0.5f);
+  const auto bn = BatchNorm::random(spec.out_c, 44);
+  const EpilogueF32 ep(bn, spec.act);
+  TensorI8 ifm8(spec.ifm_shape());
+  fill_uniform_i8(ifm8, 42);
+  WeightsI8 w8(spec.filter_shape());
+  fill_uniform_i8(w8, 43);
+  const EpilogueI8 ep8(bn, spec.act, QuantParams{0.1f, 0.02f, 0.1f});
+  const bool int8 = c.kind != ConvKind::kStandard;
+
+  struct Run {
+    TensorF out;
+    TensorI8 out8;
+    gpusim::KernelStats st, st8;
+  };
+  auto run_on = [&](unsigned workers) {
+    ThreadPool pool(workers);
+    ScopedPoolOverride guard(pool);
+    Run r{TensorF(spec.ofm_shape()), TensorI8(spec.ofm_shape()), {}, {}};
+    r.st = run_lbl_f32(kDev, spec, ifm, w, ep, r.out, c.tiling);
+    if (int8) r.st8 = run_lbl_i8(kDev, spec, ifm8, w8, ep8, r.out8, c.tiling);
+    return r;
+  };
+  const Run one = run_on(1);
+  const Run four = run_on(4);
+  EXPECT_EQ(max_abs_diff(one.out, four.out), 0.0f);
+  EXPECT_EQ(one.st, four.st);
+  for (std::int64_t i = 0; i < one.out8.size(); ++i) {
+    ASSERT_EQ(one.out8[i], four.out8[i]) << "element " << i;
+  }
+  EXPECT_EQ(one.st8, four.st8);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LblKernelTest,
     testing::Values(
@@ -104,6 +147,10 @@ INSTANTIATE_TEST_SUITE_P(
         LblCase{ConvKind::kPointwise, 24, 10, 10, 40, 1, 1, {3, 7, 32}},
         LblCase{ConvKind::kPointwise, 8, 14, 14, 64, 1, 1, {14, 14, 8}},
         LblCase{ConvKind::kPointwise, 96, 7, 7, 160, 1, 1, {7, 7, 64}},
+        // Remainders: C past the 32-channel chunk and not a multiple of 4,
+        // F not a multiple of tile_f, ragged spatial tiles.
+        LblCase{ConvKind::kPointwise, 37, 9, 11, 45, 1, 1, {4, 5, 16}},
+        LblCase{ConvKind::kPointwise, 70, 6, 6, 19, 1, 1, {6, 6, 8}},
         // Depthwise: stride 1 & 2, 3x3 and 5x5, ragged tiles.
         LblCase{ConvKind::kDepthwise, 16, 12, 12, 16, 3, 1, {4, 4, 8}},
         LblCase{ConvKind::kDepthwise, 16, 12, 12, 16, 3, 2, {3, 3, 16}},
@@ -113,7 +160,9 @@ INSTANTIATE_TEST_SUITE_P(
         // Standard conv (FP32 only).
         LblCase{ConvKind::kStandard, 3, 12, 12, 16, 3, 1, {4, 4, 16}},
         LblCase{ConvKind::kStandard, 3, 16, 16, 8, 3, 2, {4, 8, 8}},
-        LblCase{ConvKind::kStandard, 4, 8, 8, 8, 1, 1, {8, 8, 8}}),
+        LblCase{ConvKind::kStandard, 4, 8, 8, 8, 1, 1, {8, 8, 8}},
+        // A 7x7 stride-2 padded stem with a partial filter tile (20 = 16 + 4).
+        LblCase{ConvKind::kStandard, 3, 23, 23, 20, 7, 2, {5, 4, 16}}),
     case_name);
 
 TEST(LblKernels, OfmWrittenExactlyOnceRegardlessOfTiling) {

@@ -40,6 +40,15 @@ TEST(Obs, FmtDouble) {
   EXPECT_EQ(fmt_double(0.5), "0.5");
   EXPECT_EQ(fmt_double(0.00125), "0.00125");
   EXPECT_EQ(fmt_double(std::numeric_limits<double>::infinity()), "+Inf");
+  // Out of int64 range or not a number: formatted without an integer cast
+  // (the float-cast-overflow sanitizer checks the cast is never reached).
+  EXPECT_EQ(fmt_double(-std::numeric_limits<double>::infinity()), "-Inf");
+  EXPECT_EQ(fmt_double(std::numeric_limits<double>::quiet_NaN()), "nan");
+  EXPECT_EQ(fmt_double(1e15), "1e+15");
+  EXPECT_EQ(fmt_double(999999999999999.0), "999999999999999");
+  EXPECT_EQ(fmt_double(9.3e18), "9.3e+18");
+  EXPECT_EQ(fmt_double(-9223372036854775808.0), "-9.22337204e+18");
+  EXPECT_EQ(fmt_double(1e300), "1e+300");
 }
 
 TEST(Counter, SumsConcurrentIncrements) {

@@ -2,8 +2,9 @@
 // here also runs (and must pass) in the plain build, but the point is the
 // FCM_SANITIZE=thread configuration in CI: real threads racing on the real
 // clock, shaped so the interesting interleavings — concurrent submitters vs
-// a replay driver, routing vs gauge polling, plan-cache miss stampedes, and
-// stop() against live producers/consumers — actually happen. Counts stay
+// a replay driver, routing vs gauge polling, plan-cache miss stampedes,
+// stop() against live producers/consumers, and concurrent kernel launches
+// sharing the pool's per-thread shared-memory arenas — actually happen. Counts stay
 // small (Tiny model, single-digit threads) so the suite is cheap even on a
 // one-core TSan runner; determinism here means "every future resolves and
 // every counter adds up", not fixed interleavings — the ManualClock
@@ -17,7 +18,9 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/device_spec.hpp"
+#include "kernels/kernel_registry.hpp"
 #include "models/model_zoo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -385,6 +388,64 @@ TEST(RaceStress, SimReplayVsExportersAndGaugePollers) {
   EXPECT_GT(report.queue.completed, 0);
   EXPECT_EQ(summary.requests, trace.requests.size());
   EXPECT_GE(summary.virtual_s, trace.duration_s());
+}
+
+// Two callers launch kernels at the same time on devices with different
+// shared-memory limits (GTX 64 KB, Orin 164 KB). Pool workers interleave
+// blocks of both grids, so each worker's shared-memory arena is reset back
+// and forth between the two capacities while the other caller's blocks run
+// on the other workers. Outputs and stats must equal serial runs.
+TEST(RaceStress, ConcurrentKernelLaunchesOnDifferentDevices) {
+  ThreadPool pool(4);
+  ScopedPoolOverride guard(pool);
+
+  const auto pw = LayerSpec::pointwise("a", 24, 20, 20, 40);
+  const auto dw = LayerSpec::depthwise("b", 40, 20, 20, 3, 1);
+  const auto pw2 = LayerSpec::pointwise("c", 40, 20, 20, 24);
+  TensorF ifm(pw.ifm_shape());
+  fill_uniform(ifm, 5);
+  WeightsF w1(pw.filter_shape()), w2(dw.filter_shape()), w3(pw2.filter_shape());
+  fill_uniform(w1, 6, -0.5f, 0.5f);
+  fill_uniform(w2, 7, -0.5f, 0.5f);
+  fill_uniform(w3, 8, -0.5f, 0.5f);
+  const auto bn1 = BatchNorm::random(40, 9);
+  const auto bn3 = BatchNorm::random(24, 10);
+  const EpilogueF32 ep1(bn1, pw.act), ep2(bn1, dw.act), ep3(bn3, pw2.act);
+
+  struct Result {
+    TensorF out;
+    gpusim::KernelStats st;
+  };
+  // PWDW_R then an LBL pointwise, as a plan would chain them.
+  auto run = [&](const gpusim::DeviceSpec& dev) {
+    TensorF mid(dw.ofm_shape());
+    Result r{TensorF(pw2.ofm_shape()), {}};
+    r.st = run_fcm_f32(dev, FcmKind::kPwDwR, pw, dw, ifm, w1, w2, ep1, ep2, mid,
+                       FcmTiling{5, 7, 16, 0});
+    r.st += run_lbl_f32(dev, pw2, mid, w3, ep3, r.out, ConvTiling{4, 5, 16});
+    return r;
+  };
+  const gpusim::DeviceSpec devs[2] = {gpusim::gtx1660(), gpusim::jetson_orin()};
+  ASSERT_LT(devs[0].max_shared_bytes, devs[1].max_shared_bytes);
+  const Result serial[2] = {run(devs[0]), run(devs[1])};
+
+  constexpr int kReps = 6;
+  std::vector<Result> got[2];
+  std::vector<std::thread> callers;
+  for (int d = 0; d < 2; ++d) {
+    callers.emplace_back([&, d] {
+      for (int i = 0; i < kReps; ++i) got[d].push_back(run(devs[d]));
+    });
+  }
+  for (auto& t : callers) t.join();
+
+  for (int d = 0; d < 2; ++d) {
+    ASSERT_EQ(got[d].size(), static_cast<std::size_t>(kReps));
+    for (const Result& r : got[d]) {
+      EXPECT_EQ(max_abs_diff(r.out, serial[d].out), 0.0f) << devs[d].name;
+      EXPECT_EQ(r.st, serial[d].st) << devs[d].name;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Runtime tests: functional plan execution against the naive reference on a
-// small model (both precisions, residuals included) and the analytic plan
-// evaluators.
+// small model (both precisions, residuals included; bit-identical on any
+// worker count) and the analytic plan evaluators.
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "gpusim/device_spec.hpp"
 #include "models/model_zoo.hpp"
 #include "runtime/executor.hpp"
@@ -48,7 +49,7 @@ TEST(Runtime, FunctionalPlanMatchesReferenceF32) {
   ModelReport report;
   const auto out = runner.run_f32(plan, input, &report);
   const auto ref = runner.run_reference_f32(input);
-  EXPECT_LE(max_abs_diff(out, ref), 5e-2f);
+  EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
   EXPECT_EQ(report.steps.size(), plan.steps.size());
   EXPECT_GT(report.total_time_s(), 0.0);
   EXPECT_GT(report.total_energy_j(), 0.0);
@@ -85,6 +86,29 @@ TEST(Runtime, FunctionalStatsMatchPlannerPrediction) {
   }
 }
 
+TEST(Runtime, FunctionalRunIdenticalOnOneAndFourWorkers) {
+  const auto model = small_model();
+  const auto dev = tiny_dev();
+  const auto plan = planner::plan_model(dev, model, DType::kF32);
+  ModelRunner runner(dev, model, 99);
+  TensorF input(model.layers.front().ifm_shape());
+  fill_uniform(input, 100);
+  std::vector<TensorF> outs;
+  std::vector<ModelReport> reports;
+  for (const unsigned workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    ScopedPoolOverride guard(pool);
+    reports.emplace_back();
+    outs.push_back(runner.run_f32(plan, input, &reports.back()));
+  }
+  EXPECT_EQ(max_abs_diff(outs[0], outs[1]), 0.0f);
+  ASSERT_EQ(reports[0].steps.size(), reports[1].steps.size());
+  for (std::size_t i = 0; i < reports[0].steps.size(); ++i) {
+    EXPECT_EQ(reports[0].steps[i].stats, reports[1].steps[i].stats)
+        << "step " << i;
+  }
+}
+
 TEST(Runtime, LblPlanAlsoMatchesReference) {
   const auto model = small_model();
   const auto dev = tiny_dev();
@@ -94,7 +118,7 @@ TEST(Runtime, LblPlanAlsoMatchesReference) {
   fill_uniform(input, 100);
   const auto out = runner.run_f32(plan, input);
   const auto ref = runner.run_reference_f32(input);
-  EXPECT_LE(max_abs_diff(out, ref), 5e-2f);
+  EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
 }
 
 TEST(Runtime, AnalyticEvaluatorsAggregate) {
