@@ -32,22 +32,6 @@ class EpilogueF32 {
     return apply_activation(act_, bn_->apply(channel, acc));
   }
 
-  /// out[j * out_stride] = apply(channel, acc[j * acc_stride]) for j < n,
-  /// with the activation dispatched once for the whole row.
-  void apply_row(int channel, const float* acc, std::int64_t acc_stride,
-                 float* out, std::int64_t out_stride, int n) const {
-    // BatchNorm::apply's arithmetic with its parameters in locals, which the
-    // stores through `out` cannot alias.
-    const float scale = bn_->scale(channel);
-    const float shift = bn_->shift(channel);
-    with_activation(act_, [&](auto act) {
-      for (int j = 0; j < n; ++j) {
-        out[j * out_stride] =
-            activate<decltype(act)::value>(acc[j * acc_stride] * scale + shift);
-      }
-    });
-  }
-
   /// Arithmetic cost per output element (scale+shift = 2 ops + activation).
   std::int64_t ops_per_element() const { return 2 + activation_ops(act_); }
 
@@ -73,47 +57,13 @@ class EpilogueI8 {
   std::int8_t apply(int channel, std::int32_t acc) const {
     const float real = static_cast<float>(acc) * acc_scale_;
     const float y = apply_activation(act_, bn_->apply(channel, real));
-    return round_saturate(y * out_inv_scale_);
-  }
-
-  /// out[j * out_stride] = apply(channel, acc[j * acc_stride]) for j < n,
-  /// with the activation dispatched once for the whole row.
-  void apply_row(int channel, const std::int32_t* acc, std::int64_t acc_stride,
-                 std::int8_t* out, std::int64_t out_stride, int n) const {
-    // apply()'s arithmetic with every parameter in a local: int8 stores
-    // through `out` may alias any object, so members would be reloaded.
-    const float acc_scale = acc_scale_;
-    const float out_inv_scale = out_inv_scale_;
-    const float scale = bn_->scale(channel);
-    const float shift = bn_->shift(channel);
-    with_activation(act_, [&](auto act) {
-      for (int j = 0; j < n; ++j) {
-        const float real = static_cast<float>(acc[j * acc_stride]) * acc_scale;
-        const float y = activate<decltype(act)::value>(real * scale + shift);
-        out[j * out_stride] = round_saturate(y * out_inv_scale);
-      }
-    });
+    const long r = std::lroundf(y * out_inv_scale_);
+    return static_cast<std::int8_t>(std::clamp<long>(r, -128, 127));
   }
 
   std::int64_t ops_per_element() const { return 5 + activation_ops(act_); }
 
-  /// sat8(lroundf(v)): round half away from zero, then clamp to int8. On
-  /// (-129, 128) the rounding is computed inline, equal to lroundf for every
-  /// float there; other values, NaN included, call lroundf itself.
-  static std::int8_t round_saturate(float v) {
-    long r = 0;
-    if (v > -129.0f && v < 128.0f) {
-      const int t = static_cast<int>(v);                 // truncation, exact
-      const float frac = v - static_cast<float>(t);      // exact for |v| < 2^23
-      r = t + (frac >= 0.5f) - (frac <= -0.5f);
-    } else {
-      r = std::lroundf(v);
-    }
-    return static_cast<std::int8_t>(std::clamp<long>(r, -128, 127));
-  }
-
  private:
-
   const BatchNorm* bn_;
   ActKind act_;
   float acc_scale_;

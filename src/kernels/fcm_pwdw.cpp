@@ -139,10 +139,12 @@ gpusim::KernelStats run_pwdw_impl(const gpusim::DeviceSpec& dev,
       std::fill(acc1.begin(), acc1.end(), Acc{0});
       mac_panel(acc1.data(), &ifm.at(0, mh, mw_lo), ifm.shape().hw(), w1.data(),
                 C1, mw_cnt, ccur);
-      In* row = comm_px(mh, mw_lo);
-      for (int c = 0; c < ccur; ++c) {
-        ep1.apply_row(c0 + c, &acc1[static_cast<std::size_t>(c)], ccur, row + c,
-                      ccur, mw_cnt);
+      In* row = comm_px(mh, mw_lo);  // [mw][c], the layout of acc1
+      for (int m = 0; m < mw_cnt; ++m) {
+        for (int c = 0; c < ccur; ++c) {
+          const std::size_t i = static_cast<std::size_t>(m) * ccur + c;
+          row[i] = ep1.apply(c0 + c, acc1[i]);
+        }
       }
       macs1 += static_cast<std::int64_t>(ccur) * mw_cnt * C1;
 
@@ -170,8 +172,11 @@ gpusim::KernelStats run_pwdw_impl(const gpusim::DeviceSpec& dev,
           }
         }
         for (int c = 0; c < ccur; ++c) {
-          ep2.apply_row(c0 + c, &acc2[static_cast<std::size_t>(c)], ccur,
-                        &ofm.at(c0 + c, next_oh, ow0), 1, wcur);
+          In* out = &ofm.at(c0 + c, next_oh, ow0);
+          for (int ow = 0; ow < wcur; ++ow) {
+            out[ow] = ep2.apply(
+                c0 + c, acc2[static_cast<std::size_t>(ow) * ccur + c]);
+          }
         }
         ++next_oh;
       }

@@ -102,8 +102,11 @@ gpusim::KernelStats run_pw_impl(const gpusim::DeviceSpec& dev,
     // Part 4: epilogue + single store of each output (OS).
     for (int f = 0; f < fcur; ++f) {
       for (int oh = 0; oh < hcur; ++oh) {
-        ep.apply_row(f0 + f, &acc[static_cast<std::size_t>(oh) * wcur * fcur + f],
-                     fcur, &ofm.at(f0 + f, oh0 + oh, ow0), 1, wcur);
+        In* out = &ofm.at(f0 + f, oh0 + oh, ow0);
+        const Acc* a = &acc[static_cast<std::size_t>(oh) * wcur * fcur + f];
+        for (int ow = 0; ow < wcur; ++ow) {
+          out[ow] = ep.apply(f0 + f, a[static_cast<std::size_t>(ow) * fcur]);
+        }
       }
     }
     const std::int64_t outs = static_cast<std::int64_t>(fcur) * hcur * wcur;

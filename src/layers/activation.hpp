@@ -2,52 +2,28 @@
 #pragma once
 
 #include <cmath>
-#include <type_traits>
 
 #include "layers/layer_spec.hpp"
 
 namespace fcm {
 
-/// Apply activation `A`, fixed at compile time, to `x` (FP32 path). A loop
-/// over many elements of one kind compiles without a per-element dispatch,
-/// so ReLU and ReLU6 become branch-free min/max.
-template <ActKind A>
-inline float activate(float x) {
-  if constexpr (A == ActKind::kReLU) {
-    return x > 0.0f ? x : 0.0f;
-  } else if constexpr (A == ActKind::kReLU6) {
-    return x < 0.0f ? 0.0f : (x > 6.0f ? 6.0f : x);
-  } else if constexpr (A == ActKind::kGELU) {
-    // tanh approximation, the common inference formulation.
-    const float c = 0.7978845608f;  // sqrt(2/pi)
-    const float t = std::tanh(c * (x + 0.044715f * x * x * x));
-    return 0.5f * x * (1.0f + t);
-  } else {
-    return x;
-  }
-}
-
-/// Call fn(std::integral_constant<ActKind, a>{}): `a` as a compile-time
-/// constant, so a loop inside `fn` runs a single activation kind.
-template <typename Fn>
-decltype(auto) with_activation(ActKind a, Fn&& fn) {
-  switch (a) {
-    case ActKind::kReLU:
-      return fn(std::integral_constant<ActKind, ActKind::kReLU>{});
-    case ActKind::kReLU6:
-      return fn(std::integral_constant<ActKind, ActKind::kReLU6>{});
-    case ActKind::kGELU:
-      return fn(std::integral_constant<ActKind, ActKind::kGELU>{});
-    case ActKind::kNone:
-      break;
-  }
-  return fn(std::integral_constant<ActKind, ActKind::kNone>{});
-}
-
 /// Apply activation `a` to `x` (FP32 path).
 inline float apply_activation(ActKind a, float x) {
-  return with_activation(
-      a, [x](auto act) { return activate<decltype(act)::value>(x); });
+  switch (a) {
+    case ActKind::kNone:
+      return x;
+    case ActKind::kReLU:
+      return x > 0.0f ? x : 0.0f;
+    case ActKind::kReLU6:
+      return x < 0.0f ? 0.0f : (x > 6.0f ? 6.0f : x);
+    case ActKind::kGELU: {
+      // tanh approximation, the common inference formulation.
+      const float c = 0.7978845608f;  // sqrt(2/pi)
+      const float t = std::tanh(c * (x + 0.044715f * x * x * x));
+      return 0.5f * x * (1.0f + t);
+    }
+  }
+  return x;
 }
 
 /// Number of arithmetic operations the activation costs per element, used by

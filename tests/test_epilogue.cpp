@@ -3,12 +3,6 @@
 // follows each conv — paper §III-A: "An FCM combines up to 6 layers").
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
-#include <vector>
-
 #include "common/random.hpp"
 #include "gpusim/device_spec.hpp"
 #include "kernels/conv_ref.hpp"
@@ -54,38 +48,6 @@ TEST_P(EpilogueActTest, I8RoundsAndSaturates) {
   }
 }
 
-TEST_P(EpilogueActTest, RowMatchesPerElementApplyBitwise) {
-  // The kernels' row epilogue must equal apply() bit for bit, edge values
-  // included, for strided accumulators and outputs.
-  const ActKind act = GetParam();
-  const auto bn = BatchNorm::random(3, 31);
-  const EpilogueF32 ep(bn, act);
-  const std::vector<float> xs = {-0.0f, 0.0f, -1e-30f, 1e-30f, -7.25f, 3.5f,
-                                 6.0f, 1e30f, -1e30f,
-                                 std::numeric_limits<float>::quiet_NaN()};
-  const int n = static_cast<int>(xs.size());
-  std::vector<float> acc(2 * xs.size()), out(3 * xs.size(), 99.0f);
-  for (int j = 0; j < n; ++j) acc[2 * j] = xs[static_cast<std::size_t>(j)];
-  ep.apply_row(2, acc.data(), 2, out.data(), 3, n);
-  for (int j = 0; j < n; ++j) {
-    const float want = ep.apply(2, xs[static_cast<std::size_t>(j)]);
-    EXPECT_EQ(std::memcmp(&out[3 * j], &want, sizeof(float)), 0) << "x=" << xs[j];
-  }
-
-  const EpilogueI8 ep8(bn, act, QuantParams{0.1f, 0.02f, 0.1f});
-  const std::vector<std::int32_t> as = {0, 1, -1, 49, 50, -50, 51, 12345,
-                                        -12345, 2147483647, -2147483647 - 1};
-  const int n8 = static_cast<int>(as.size());
-  std::vector<std::int32_t> acc8(2 * as.size());
-  std::vector<std::int8_t> out8(3 * as.size(), 99);
-  for (int j = 0; j < n8; ++j) acc8[2 * j] = as[static_cast<std::size_t>(j)];
-  ep8.apply_row(1, acc8.data(), 2, out8.data(), 3, n8);
-  for (int j = 0; j < n8; ++j) {
-    EXPECT_EQ(out8[3 * j], ep8.apply(1, as[static_cast<std::size_t>(j)]))
-        << "acc=" << as[j];
-  }
-}
-
 TEST_P(EpilogueActTest, KernelsApplyEpilogueIdenticallyToReference) {
   // End-to-end: a PW kernel with this activation equals conv_ref with the
   // same epilogue (exercises the fused tail inside the optimised kernel).
@@ -108,37 +70,6 @@ INSTANTIATE_TEST_SUITE_P(AllActivations, EpilogueActTest,
                          [](const testing::TestParamInfo<ActKind>& info) {
                            return act_kind_name(info.param);
                          });
-
-TEST(Epilogue, I8RoundSaturateEqualsLroundfThenClamp) {
-  // The inline rounding must equal sat8(lroundf(v)) everywhere: every
-  // half-integer boundary in and around the int8 range from both sides, a
-  // strided sweep over all float bit patterns, and the non-finite values.
-  auto want = [](float v) {
-    return static_cast<std::int8_t>(std::clamp<long>(std::lroundf(v), -128, 127));
-  };
-  std::vector<float> vs = {0.0f, -0.0f,
-                           std::numeric_limits<float>::infinity(),
-                           -std::numeric_limits<float>::infinity(),
-                           std::numeric_limits<float>::quiet_NaN(),
-                           std::numeric_limits<float>::max(),
-                           std::numeric_limits<float>::denorm_min()};
-  for (int k = -131; k <= 131; ++k) {
-    for (const float b : {static_cast<float>(k), k + 0.5f}) {
-      vs.push_back(b);
-      vs.push_back(std::nextafter(b, -1e9f));
-      vs.push_back(std::nextafter(b, 1e9f));
-    }
-  }
-  for (std::uint64_t bits = 0; bits < (1ull << 32); bits += 4099) {
-    const auto u = static_cast<std::uint32_t>(bits);
-    float v = 0.0f;
-    std::memcpy(&v, &u, sizeof v);
-    vs.push_back(v);
-  }
-  for (const float v : vs) {
-    ASSERT_EQ(EpilogueI8::round_saturate(v), want(v)) << "v=" << v;
-  }
-}
 
 TEST(Epilogue, QuantScaleChainConsistency) {
   // Layer i+1's in_scale must equal layer i's out_scale for a fused module

@@ -5,6 +5,9 @@
 // paper describes.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/device_spec.hpp"
@@ -81,24 +84,35 @@ TEST_P(FcmKernelTest, F32EqualsLayerByLayerReference) {
   const auto bn2 = BatchNorm::random(second.out_c, 11);
   const EpilogueF32 ep1(bn1, first.act), ep2(bn2, second.act);
 
-  TensorF ofm(second.ofm_shape());
-  const auto st = run_fcm_f32(kDev, c.kind, first, second, ifm, w1, w2, ep1,
-                              ep2, ofm, c.tiling);
   const auto mid = conv_ref_f32(first, ifm, w1, ep1);
   const auto ref = conv_ref_f32(second, mid, w2, ep2);
-  EXPECT_EQ(max_abs_diff(ofm, ref), 0.0f)
-      << "each output must keep the reference's summation order";
-
   const auto predicted =
       planner::fcm_stats(c.kind, first, second, c.tiling, DType::kF32);
-  EXPECT_EQ(st.global_load_bytes, predicted.global_load_bytes);
-  EXPECT_EQ(st.global_store_bytes, predicted.global_store_bytes);
-  EXPECT_EQ(st.flops, predicted.flops);
-  EXPECT_EQ(st.redundant_flops, predicted.redundant_flops);
-  EXPECT_EQ(st.shared_load_bytes, predicted.shared_load_bytes);
-  EXPECT_EQ(st.shared_store_bytes, predicted.shared_store_bytes);
-  EXPECT_EQ(st.num_blocks, predicted.num_blocks);
-  EXPECT_EQ(st.shared_bytes_per_block, predicted.shared_bytes_per_block);
+
+  // Blocks own disjoint outputs and keep their own stats, so neither may
+  // depend on how blocks map to workers.
+  std::vector<gpusim::KernelStats> runs;
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    ScopedPoolOverride guard(pool);
+    TensorF ofm(second.ofm_shape());
+    const auto st = run_fcm_f32(kDev, c.kind, first, second, ifm, w1, w2, ep1,
+                                ep2, ofm, c.tiling);
+    EXPECT_EQ(max_abs_diff(ofm, ref), 0.0f)
+        << "each output must keep the reference's summation order";
+
+    EXPECT_EQ(st.global_load_bytes, predicted.global_load_bytes);
+    EXPECT_EQ(st.global_store_bytes, predicted.global_store_bytes);
+    EXPECT_EQ(st.flops, predicted.flops);
+    EXPECT_EQ(st.redundant_flops, predicted.redundant_flops);
+    EXPECT_EQ(st.shared_load_bytes, predicted.shared_load_bytes);
+    EXPECT_EQ(st.shared_store_bytes, predicted.shared_store_bytes);
+    EXPECT_EQ(st.num_blocks, predicted.num_blocks);
+    EXPECT_EQ(st.shared_bytes_per_block, predicted.shared_bytes_per_block);
+    runs.push_back(st);
+  }
+  EXPECT_EQ(runs[0], runs[1]);
 }
 
 TEST_P(FcmKernelTest, I8EqualsLayerByLayerBitExactly) {
@@ -115,58 +129,22 @@ TEST_P(FcmKernelTest, I8EqualsLayerByLayerBitExactly) {
   const QuantParams q2{0.1f, 0.02f, 0.1f};  // in_scale chains from q1.out
   const EpilogueI8 ep1(bn1, first.act, q1), ep2(bn2, second.act, q2);
 
-  TensorI8 ofm(second.ofm_shape());
-  run_fcm_i8(kDev, c.kind, first, second, ifm, w1, w2, ep1, ep2, ofm,
-             c.tiling);
   const auto mid = conv_ref_i8(first, ifm, w1, ep1);
   const auto ref = conv_ref_i8(second, mid, w2, ep2);
-  for (std::int64_t i = 0; i < ofm.size(); ++i) {
-    ASSERT_EQ(ofm[i], ref[i]) << "element " << i;
-  }
-}
 
-TEST_P(FcmKernelTest, OneAndFourWorkersAgreeExactly) {
-  const auto& c = GetParam();
-  const auto [first, second] = make_pair(c);
-  TensorF ifm(first.ifm_shape());
-  fill_uniform(ifm, 7);
-  WeightsF w1(first.filter_shape()), w2(second.filter_shape());
-  fill_uniform(w1, 8, -0.5f, 0.5f);
-  fill_uniform(w2, 9, -0.5f, 0.5f);
-  TensorI8 ifm8(first.ifm_shape());
-  fill_uniform_i8(ifm8, 7);
-  WeightsI8 w18(first.filter_shape()), w28(second.filter_shape());
-  fill_uniform_i8(w18, 8);
-  fill_uniform_i8(w28, 9);
-  const auto bn1 = BatchNorm::random(first.out_c, 10);
-  const auto bn2 = BatchNorm::random(second.out_c, 11);
-  const EpilogueF32 ep1(bn1, first.act), ep2(bn2, second.act);
-  const QuantParams q{0.1f, 0.02f, 0.1f};
-  const EpilogueI8 ep18(bn1, first.act, q), ep28(bn2, second.act, q);
-
-  struct Run {
-    TensorF out;
-    TensorI8 out8;
-    gpusim::KernelStats st, st8;
-  };
-  auto run_on = [&](unsigned workers) {
+  std::vector<gpusim::KernelStats> runs;
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
     ThreadPool pool(workers);
     ScopedPoolOverride guard(pool);
-    Run r{TensorF(second.ofm_shape()), TensorI8(second.ofm_shape()), {}, {}};
-    r.st = run_fcm_f32(kDev, c.kind, first, second, ifm, w1, w2, ep1, ep2,
-                       r.out, c.tiling);
-    r.st8 = run_fcm_i8(kDev, c.kind, first, second, ifm8, w18, w28, ep18, ep28,
-                       r.out8, c.tiling);
-    return r;
-  };
-  const Run one = run_on(1);
-  const Run four = run_on(4);
-  EXPECT_EQ(max_abs_diff(one.out, four.out), 0.0f);
-  EXPECT_EQ(one.st, four.st);
-  for (std::int64_t i = 0; i < one.out8.size(); ++i) {
-    ASSERT_EQ(one.out8[i], four.out8[i]) << "element " << i;
+    TensorI8 ofm(second.ofm_shape());
+    runs.push_back(run_fcm_i8(kDev, c.kind, first, second, ifm, w1, w2, ep1,
+                              ep2, ofm, c.tiling));
+    for (std::int64_t i = 0; i < ofm.size(); ++i) {
+      ASSERT_EQ(ofm[i], ref[i]) << "element " << i;
+    }
   }
-  EXPECT_EQ(one.st8, four.st8);
+  EXPECT_EQ(runs[0], runs[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(

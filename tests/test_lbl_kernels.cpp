@@ -4,6 +4,9 @@
 // match exactly — the planner optimises what the kernels actually do).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/device_spec.hpp"
@@ -56,20 +59,31 @@ TEST_P(LblKernelTest, F32MatchesReferenceAndCostModel) {
   const auto bn = BatchNorm::random(spec.out_c, 44);
   const EpilogueF32 ep(bn, spec.act);
 
-  TensorF ofm(spec.ofm_shape());
-  const auto st = run_lbl_f32(kDev, spec, ifm, w, ep, ofm, c.tiling);
   const auto ref = conv_ref_f32(spec, ifm, w, ep);
-  EXPECT_EQ(max_abs_diff(ofm, ref), 0.0f)
-      << "each output must keep the reference's summation order";
-
   const auto predicted = planner::lbl_stats(spec, c.tiling, DType::kF32);
-  EXPECT_EQ(st.global_load_bytes, predicted.global_load_bytes);
-  EXPECT_EQ(st.global_store_bytes, predicted.global_store_bytes);
-  EXPECT_EQ(st.flops, predicted.flops);
-  EXPECT_EQ(st.shared_store_bytes, predicted.shared_store_bytes);
-  EXPECT_EQ(st.shared_load_bytes, predicted.shared_load_bytes);
-  EXPECT_EQ(st.num_blocks, predicted.num_blocks);
-  EXPECT_EQ(st.shared_bytes_per_block, predicted.shared_bytes_per_block);
+
+  // Blocks own disjoint outputs and keep their own stats, so neither may
+  // depend on how blocks map to workers.
+  std::vector<gpusim::KernelStats> runs;
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    ScopedPoolOverride guard(pool);
+    TensorF ofm(spec.ofm_shape());
+    const auto st = run_lbl_f32(kDev, spec, ifm, w, ep, ofm, c.tiling);
+    EXPECT_EQ(max_abs_diff(ofm, ref), 0.0f)
+        << "each output must keep the reference's summation order";
+
+    EXPECT_EQ(st.global_load_bytes, predicted.global_load_bytes);
+    EXPECT_EQ(st.global_store_bytes, predicted.global_store_bytes);
+    EXPECT_EQ(st.flops, predicted.flops);
+    EXPECT_EQ(st.shared_store_bytes, predicted.shared_store_bytes);
+    EXPECT_EQ(st.shared_load_bytes, predicted.shared_load_bytes);
+    EXPECT_EQ(st.num_blocks, predicted.num_blocks);
+    EXPECT_EQ(st.shared_bytes_per_block, predicted.shared_bytes_per_block);
+    runs.push_back(st);
+  }
+  EXPECT_EQ(runs[0], runs[1]);
 }
 
 TEST_P(LblKernelTest, I8MatchesReferenceBitExactly) {
@@ -84,58 +98,26 @@ TEST_P(LblKernelTest, I8MatchesReferenceBitExactly) {
   QuantParams q{0.1f, 0.02f, 0.1f};
   const EpilogueI8 ep(bn, spec.act, q);
 
-  TensorI8 ofm(spec.ofm_shape());
-  const auto st = run_lbl_i8(kDev, spec, ifm, w, ep, ofm, c.tiling);
   const auto ref = conv_ref_i8(spec, ifm, w, ep);
-  for (std::int64_t i = 0; i < ofm.size(); ++i) {
-    ASSERT_EQ(ofm[i], ref[i]) << "element " << i;
-  }
-
   const auto predicted = planner::lbl_stats(spec, c.tiling, DType::kI8);
-  EXPECT_EQ(st.global_load_bytes, predicted.global_load_bytes);
-  EXPECT_EQ(st.global_store_bytes, predicted.global_store_bytes);
-  EXPECT_EQ(st.int_ops, predicted.int_ops);
-}
 
-TEST_P(LblKernelTest, OneAndFourWorkersAgreeExactly) {
-  // Blocks own disjoint outputs and keep their own stats, so neither the
-  // outputs nor the merged stats may depend on how blocks map to workers.
-  const auto& c = GetParam();
-  const auto spec = make_spec(c);
-  TensorF ifm(spec.ifm_shape());
-  fill_uniform(ifm, 42);
-  WeightsF w(spec.filter_shape());
-  fill_uniform(w, 43, -0.5f, 0.5f);
-  const auto bn = BatchNorm::random(spec.out_c, 44);
-  const EpilogueF32 ep(bn, spec.act);
-  TensorI8 ifm8(spec.ifm_shape());
-  fill_uniform_i8(ifm8, 42);
-  WeightsI8 w8(spec.filter_shape());
-  fill_uniform_i8(w8, 43);
-  const EpilogueI8 ep8(bn, spec.act, QuantParams{0.1f, 0.02f, 0.1f});
-  const bool int8 = c.kind != ConvKind::kStandard;
-
-  struct Run {
-    TensorF out;
-    TensorI8 out8;
-    gpusim::KernelStats st, st8;
-  };
-  auto run_on = [&](unsigned workers) {
+  std::vector<gpusim::KernelStats> runs;
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
     ThreadPool pool(workers);
     ScopedPoolOverride guard(pool);
-    Run r{TensorF(spec.ofm_shape()), TensorI8(spec.ofm_shape()), {}, {}};
-    r.st = run_lbl_f32(kDev, spec, ifm, w, ep, r.out, c.tiling);
-    if (int8) r.st8 = run_lbl_i8(kDev, spec, ifm8, w8, ep8, r.out8, c.tiling);
-    return r;
-  };
-  const Run one = run_on(1);
-  const Run four = run_on(4);
-  EXPECT_EQ(max_abs_diff(one.out, four.out), 0.0f);
-  EXPECT_EQ(one.st, four.st);
-  for (std::int64_t i = 0; i < one.out8.size(); ++i) {
-    ASSERT_EQ(one.out8[i], four.out8[i]) << "element " << i;
+    TensorI8 ofm(spec.ofm_shape());
+    const auto st = run_lbl_i8(kDev, spec, ifm, w, ep, ofm, c.tiling);
+    for (std::int64_t i = 0; i < ofm.size(); ++i) {
+      ASSERT_EQ(ofm[i], ref[i]) << "element " << i;
+    }
+
+    EXPECT_EQ(st.global_load_bytes, predicted.global_load_bytes);
+    EXPECT_EQ(st.global_store_bytes, predicted.global_store_bytes);
+    EXPECT_EQ(st.int_ops, predicted.int_ops);
+    runs.push_back(st);
   }
-  EXPECT_EQ(one.st8, four.st8);
+  EXPECT_EQ(runs[0], runs[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(

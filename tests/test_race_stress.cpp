@@ -4,11 +4,11 @@
 // clock, shaped so the interesting interleavings — concurrent submitters vs
 // a replay driver, routing vs gauge polling, plan-cache miss stampedes,
 // stop() against live producers/consumers, and concurrent kernel launches
-// sharing the pool's per-thread shared-memory arenas — actually happen. Counts stay
-// small (Tiny model, single-digit threads) so the suite is cheap even on a
-// one-core TSan runner; determinism here means "every future resolves and
-// every counter adds up", not fixed interleavings — the ManualClock
-// scheduling tests live in test_scheduler/test_cluster.
+// sharing the pool's per-thread shared-memory arenas — actually happen.
+// Counts stay small (Tiny model, single-digit threads) so the suite is cheap
+// even on a one-core TSan runner; determinism here means "every future
+// resolves and every counter adds up", not fixed interleavings — the
+// ManualClock scheduling tests live in test_scheduler/test_cluster.
 #include <gtest/gtest.h>
 
 #include <atomic>

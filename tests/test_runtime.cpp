@@ -46,13 +46,23 @@ TEST(Runtime, FunctionalPlanMatchesReferenceF32) {
   ModelRunner runner(dev, model, 99);
   TensorF input(model.layers.front().ifm_shape());
   fill_uniform(input, 100);
-  ModelReport report;
-  const auto out = runner.run_f32(plan, input, &report);
   const auto ref = runner.run_reference_f32(input);
-  EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
-  EXPECT_EQ(report.steps.size(), plan.steps.size());
-  EXPECT_GT(report.total_time_s(), 0.0);
-  EXPECT_GT(report.total_energy_j(), 0.0);
+  std::vector<ModelReport> reports;
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    ScopedPoolOverride guard(pool);
+    ModelReport& report = reports.emplace_back();
+    const auto out = runner.run_f32(plan, input, &report);
+    EXPECT_EQ(max_abs_diff(out, ref), 0.0f);
+    ASSERT_EQ(report.steps.size(), plan.steps.size());
+    EXPECT_GT(report.total_time_s(), 0.0);
+    EXPECT_GT(report.total_energy_j(), 0.0);
+  }
+  for (std::size_t i = 0; i < plan.steps.size(); ++i) {
+    EXPECT_EQ(reports[0].steps[i].stats, reports[1].steps[i].stats)
+        << "step " << i;
+  }
 }
 
 TEST(Runtime, FunctionalPlanMatchesReferenceI8BitExactly) {
@@ -83,29 +93,6 @@ TEST(Runtime, FunctionalStatsMatchPlannerPrediction) {
     EXPECT_EQ(report.steps[i].stats.gma_bytes(),
               plan.steps[i].stats.gma_bytes())
         << "step " << i << ": the cost model must predict the kernel exactly";
-  }
-}
-
-TEST(Runtime, FunctionalRunIdenticalOnOneAndFourWorkers) {
-  const auto model = small_model();
-  const auto dev = tiny_dev();
-  const auto plan = planner::plan_model(dev, model, DType::kF32);
-  ModelRunner runner(dev, model, 99);
-  TensorF input(model.layers.front().ifm_shape());
-  fill_uniform(input, 100);
-  std::vector<TensorF> outs;
-  std::vector<ModelReport> reports;
-  for (const unsigned workers : {1u, 4u}) {
-    ThreadPool pool(workers);
-    ScopedPoolOverride guard(pool);
-    reports.emplace_back();
-    outs.push_back(runner.run_f32(plan, input, &reports.back()));
-  }
-  EXPECT_EQ(max_abs_diff(outs[0], outs[1]), 0.0f);
-  ASSERT_EQ(reports[0].steps.size(), reports[1].steps.size());
-  for (std::size_t i = 0; i < reports[0].steps.size(); ++i) {
-    EXPECT_EQ(reports[0].steps[i].stats, reports[1].steps[i].stats)
-        << "step " << i;
   }
 }
 
