@@ -84,6 +84,8 @@ struct LayerSpec {
   /// depthwise layer with out_c != in_c, or non-1×1 pointwise filters).
   void validate() const;
 
+  friend bool operator==(const LayerSpec&, const LayerSpec&) = default;
+
   // --- convenience constructors for the shapes the models use --------------
   /// Depthwise k×k stride-s layer with "same" padding.
   static LayerSpec depthwise(std::string name, int c, int h, int w, int k,

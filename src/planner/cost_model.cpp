@@ -15,73 +15,6 @@ std::int64_t esz_of(DType dt) {
   return static_cast<std::int64_t>(dtype_size(dt));
 }
 
-/// Σ over spatial tiles of the clamped, halo'd input extent — the exact
-/// per-block IFM rows/cols the kernels load. `approx` replaces the loop with
-/// the unclamped O(1) closed form (every tile charged its full halo).
-std::int64_t sum_in_extents(int out_total, int tile, int k, int s, int pad,
-                            int in_total, bool approx = false) {
-  if (approx) {
-    const std::int64_t n = ceil_div(out_total, tile);
-    const int last = out_total - static_cast<int>(n - 1) * tile;
-    return (n - 1) * in_extent(tile, k, s) + in_extent(last, k, s);
-  }
-  std::int64_t sum = 0;
-  for (int o0 = 0; o0 < out_total; o0 += tile) {
-    const int cur = std::min(tile, out_total - o0);
-    const int lo = std::max(0, o0 * s - pad);
-    const int hi = std::min(in_total, (o0 + cur - 1) * s - pad + k);
-    sum += hi - lo;
-  }
-  return sum;
-}
-
-/// Σ over output positions of the number of in-bounds filter taps. `approx`
-/// ignores padding clamping: every position charged all k taps.
-std::int64_t sum_taps(int out_total, int k, int s, int pad, int in_total,
-                      bool approx = false) {
-  if (approx) return static_cast<std::int64_t>(out_total) * k;
-  std::int64_t sum = 0;
-  for (int o = 0; o < out_total; ++o) {
-    const int lo = o * s - pad;
-    for (int t = 0; t < k; ++t) {
-      const int i = lo + t;
-      if (i >= 0 && i < in_total) ++sum;
-    }
-  }
-  return sum;
-}
-
-struct MidExtents {
-  std::int64_t total = 0;      ///< Σ mh_cnt over tiles
-  std::int64_t exclusive = 0;  ///< Σ (mh_cnt − red) over tiles
-};
-
-/// Per-dimension intermediate extents of the PWDW kernels, with the
-/// primary-owner redundancy attribution the kernel uses. `approx` uses the
-/// unclamped closed form: halo overlap of k−s elements per interior seam.
-MidExtents mid_extents(int out_total, int tile, int k, int s, int pad,
-                       int mid_total, bool approx = false) {
-  if (approx) {
-    MidExtents m;
-    const std::int64_t n = ceil_div(out_total, tile);
-    const int last = out_total - static_cast<int>(n - 1) * tile;
-    m.total = (n - 1) * in_extent(tile, k, s) + in_extent(last, k, s);
-    m.exclusive = m.total - (n - 1) * std::max(0, k - s);
-    return m;
-  }
-  MidExtents m;
-  int idx = 0;
-  for (int o0 = 0; o0 < out_total; o0 += tile, ++idx) {
-    const int cur = std::min(tile, out_total - o0);
-    const int lo = std::max(0, o0 * s - pad);
-    const int hi = std::min(mid_total, (o0 + cur - 1) * s - pad + k);
-    const int red = idx > 0 ? std::max(0, ((o0 - 1) * s - pad + k) - lo) : 0;
-    m.total += hi - lo;
-    m.exclusive += (hi - lo) - red;
-  }
-  return m;
-}
-
 void fill_precision(gpusim::KernelStats& st, DType dt, std::int64_t conv_ops,
                     std::int64_t epilogue_flops, std::int64_t redundant_ops) {
   if (dt == DType::kF32) {
@@ -94,6 +27,68 @@ void fill_precision(gpusim::KernelStats& st, DType dt, std::int64_t conv_ops,
 }
 
 }  // namespace
+
+std::int64_t sum_in_extents(int out_total, int tile, int k, int s, int pad,
+                            int in_total, bool approx) {
+  const std::int64_t out = out_total, T = tile, K = k, S = s, P = pad;
+  const std::int64_t n = ceil_div(out, T);
+  const std::int64_t last = out - (n - 1) * T;
+  // Unclamped: a tile of `cur` outputs loads (cur − 1)·s + k rows.
+  std::int64_t sum = (n - 1) * ((T - 1) * S + K) + (last - 1) * S + K;
+  if (approx) return sum;
+  // Tile j's window [j·T·s − pad, (j·T + cur − 1)·s − pad + k) loses what
+  // lies above row 0 and below row in_total. Both ends move monotonically
+  // with j, so only the first and last few tiles lose anything.
+  for (std::int64_t j = 0; j < n && j * T * S < P; ++j) sum -= P - j * T * S;
+  for (std::int64_t j = n - 1; j >= 0; --j) {
+    const std::int64_t cur = std::min(T, out - j * T);
+    const std::int64_t below = (j * T + cur - 1) * S - P + K - in_total;
+    if (below <= 0) break;
+    sum -= below;
+  }
+  return sum;
+}
+
+std::int64_t sum_taps(int out_total, int k, int s, int pad, int in_total,
+                      bool approx) {
+  const std::int64_t out = out_total, K = k, S = s, P = pad, in = in_total;
+  std::int64_t sum = out * K;
+  if (approx) return sum;
+  // Output o reads taps [o·s − pad, o·s − pad + k). Only the outputs below
+  // `top_end` (window starts above row 0) and from `bottom_begin` on (window
+  // ends past in_total) lose taps; each is visited once.
+  const auto lost = [&](std::int64_t o) {
+    const std::int64_t lo = o * S - P;
+    const std::int64_t kept =
+        std::min(K, in - lo) - std::max<std::int64_t>(0, -lo);
+    return K - std::max<std::int64_t>(0, kept);
+  };
+  const std::int64_t top_end = std::min(out, ceil_div(P, S));
+  const std::int64_t bottom_begin =
+      std::max(top_end, in + P - K < 0 ? 0 : (in + P - K) / S + 1);
+  for (std::int64_t o = 0; o < top_end; ++o) sum -= lost(o);
+  for (std::int64_t o = bottom_begin; o < out; ++o) sum -= lost(o);
+  return sum;
+}
+
+MidExtents mid_extents(int out_total, int tile, int k, int s, int pad,
+                       int mid_total, bool approx) {
+  MidExtents m;
+  m.total = sum_in_extents(out_total, tile, k, s, pad, mid_total, approx);
+  const std::int64_t T = tile, K = k, S = s, P = pad;
+  const std::int64_t n = ceil_div(out_total, T);
+  // Unclamped: every interior seam repeats max(0, k − s) rows.
+  const std::int64_t seam = std::max(0, k - s);
+  m.exclusive = m.total - (n - 1) * seam;
+  if (approx) return m;
+  // A tile's redundant rows run from its clamped start to the previous
+  // tile's unclamped end; a start clamped to row 0 (j·T·s < pad) changes
+  // that count, so only those first few tiles need correcting.
+  for (std::int64_t j = 1; j < n && j * T * S < P; ++j) {
+    m.exclusive += seam - std::max<std::int64_t>(0, (j * T - 1) * S - P + K);
+  }
+  return m;
+}
 
 std::int64_t epilogue_ops_per_element(const LayerSpec& spec, DType dt) {
   const std::int64_t base = dt == DType::kF32 ? 2 : 5;

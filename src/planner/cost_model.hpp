@@ -51,12 +51,38 @@ gpusim::KernelStats pwdwpw_stats(const LayerSpec& pw1, const LayerSpec& dw,
                                  const LayerSpec& pw2, const FcmTiling& t,
                                  DType dt);
 
-// --- O(1) closed-form approximations ----------------------------------------
-// Same formulas with the boundary-clamping loops (sum_in_extents, sum_taps,
-// mid_extents) replaced by unclamped closed forms: ranking priors for the
-// beam search's surrogate pass (see tile_search). Launch geometry, shared
-// footprint and store traffic are exact — only load/compute counts that
-// depend on edge clamping are approximated (from above).
+// --- border-clamped extent sums ---------------------------------------------
+// The exact stats above sum, per spatial dimension, what each tile or output
+// reads once its window is clamped to the input. Each sum is its unclamped
+// closed form minus the clamping corrections, which only the few tiles or
+// outputs whose window crosses a border at either end contribute. `approx`
+// skips the corrections. Arithmetic is in int64; tile, k and s are >= 1.
+
+/// Σ over the ⌈out_total/tile⌉ tiles of the clamped, halo'd input extent —
+/// the exact per-block IFM rows (or cols) the kernels load.
+std::int64_t sum_in_extents(int out_total, int tile, int k, int s, int pad,
+                            int in_total, bool approx = false);
+
+/// Σ over output positions of the number of in-bounds filter taps.
+std::int64_t sum_taps(int out_total, int k, int s, int pad, int in_total,
+                      bool approx = false);
+
+/// Intermediate extents of the PWDW kernels along one dimension.
+struct MidExtents {
+  std::int64_t total = 0;      ///< Σ over tiles of the clamped extent
+  std::int64_t exclusive = 0;  ///< the same minus rows the previous tile owns
+};
+
+/// Per-dimension intermediate extents of the PWDW kernels, with the
+/// primary-owner redundancy attribution the kernel uses.
+MidExtents mid_extents(int out_total, int tile, int k, int s, int pad,
+                       int mid_total, bool approx = false);
+
+// --- O(1) closed-form surrogates --------------------------------------------
+// The exact closed forms without their border corrections: ranking priors
+// for the beam search's surrogate pass (see tile_search). Launch geometry,
+// shared footprint and store traffic are exact — only the load/compute
+// counts that border clamping reduces are approximated (from above).
 
 gpusim::KernelStats lbl_stats_approx(const LayerSpec& spec, const ConvTiling& t,
                                      DType dt);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "planner/cost_model.hpp"
 
 namespace fcm::planner {
 
@@ -48,20 +49,6 @@ class AnalyticalCostModel final : public CostModel {
 std::mutex g_calibrated_mu;
 std::shared_ptr<const CostModel> g_calibrated;  // NOLINT(cert-err58-cpp)
 
-/// Fraction of filter-tap positions that fall outside the input along one
-/// dimension — tiling-independent, so callers hoist it per layer.
-std::int64_t in_bounds_taps(int out, int k, int s, int pad, int in) {
-  std::int64_t taps = 0;
-  for (int o = 0; o < out; ++o) {
-    const int lo = o * s - pad;
-    for (int t = 0; t < k; ++t) {
-      const int i = lo + t;
-      if (i >= 0 && i < in) ++taps;
-    }
-  }
-  return taps;
-}
-
 double l1_fraction_of(std::int64_t l1, const gpusim::DeviceSpec& dev) {
   return dev.l1_bytes > 0
              ? static_cast<double>(l1) / static_cast<double>(dev.l1_bytes)
@@ -76,11 +63,10 @@ double layer_padding_fraction(const LayerSpec& spec) {
                        static_cast<double>(spec.out_w()) * spec.kw;
   if (total <= 0.0) return 0.0;
   const double in_bounds =
-      static_cast<double>(
-          in_bounds_taps(spec.out_h(), spec.kh, spec.stride, spec.pad,
-                         spec.in_h)) *
-      static_cast<double>(in_bounds_taps(spec.out_w(), spec.kw, spec.stride,
-                                         spec.pad, spec.in_w));
+      static_cast<double>(sum_taps(spec.out_h(), spec.kh, spec.stride,
+                                   spec.pad, spec.in_h)) *
+      static_cast<double>(sum_taps(spec.out_w(), spec.kw, spec.stride,
+                                   spec.pad, spec.in_w));
   return 1.0 - in_bounds / total;
 }
 

@@ -80,8 +80,8 @@ std::shared_ptr<const CostModel> calibrated_cost_model();
 // Shared by the tile search (per candidate) and the autotune featurizer (per
 // emitted plan step), so logged features and planning-time features agree.
 
-/// Tiling-independent fraction of filter-tap positions landing in padding —
-/// O(out·k); hoist it per layer before a candidate loop.
+/// Tiling-independent fraction of filter-tap positions landing in padding;
+/// hoist it per layer before a candidate loop.
 double layer_padding_fraction(const LayerSpec& spec);
 
 /// Fraction of partial (boundary) blocks over the given (extent, tile) grid

@@ -12,6 +12,33 @@ bool pair_fusable(const LayerSpec& first, const LayerSpec& second) {
   return fcm_kind_for(first, second, kind);
 }
 
+bool model_pair_fusable(const ModelGraph& model, int i) {
+  const int n = model.num_layers();
+  if (i < 0 || i + 1 >= n) return false;
+  const LayerSpec& a = model.layers[static_cast<std::size_t>(i)];
+  const LayerSpec& b = model.layers[static_cast<std::size_t>(i + 1)];
+  return !model.feeds_residual(i) && !model.receives_residual(i) &&
+         a.allow_fusion && b.allow_fusion && pair_fusable(a, b);
+}
+
+bool model_triple_fusable(const ModelGraph& model, int i) {
+  const int n = model.num_layers();
+  if (i < 0 || i + 2 >= n) return false;
+  const LayerSpec& a = model.layers[static_cast<std::size_t>(i)];
+  const LayerSpec& b = model.layers[static_cast<std::size_t>(i + 1)];
+  const LayerSpec& c = model.layers[static_cast<std::size_t>(i + 2)];
+  if (a.kind != ConvKind::kPointwise || b.kind != ConvKind::kDepthwise ||
+      c.kind != ConvKind::kPointwise) {
+    return false;
+  }
+  if (!a.allow_fusion || !b.allow_fusion || !c.allow_fusion) return false;
+  if (model.feeds_residual(i) || model.receives_residual(i)) return false;
+  if (model.feeds_residual(i + 1) || model.receives_residual(i + 1)) {
+    return false;
+  }
+  return a.ofm_shape() == b.ifm_shape() && b.ofm_shape() == c.ifm_shape();
+}
+
 PairDecision plan_pair(const gpusim::DeviceSpec& dev, const LayerSpec& first,
                        const LayerSpec& second, DType dt) {
   FCM_CHECK(first.ofm_shape() == second.ifm_shape(),
@@ -71,32 +98,32 @@ LblChoice lbl_choice_for(const gpusim::DeviceSpec& dev, const LayerSpec& spec,
   return *lbl;
 }
 
-bool model_pair_fusable(const ModelGraph& model, int i) {
-  const int n = model.num_layers();
-  if (i + 1 >= n) return false;
-  const LayerSpec& a = model.layers[static_cast<std::size_t>(i)];
-  const LayerSpec& b = model.layers[static_cast<std::size_t>(i + 1)];
-  return !model.feeds_residual(i) && !model.receives_residual(i) &&
-         a.allow_fusion && b.allow_fusion && pair_fusable(a, b);
-}
-
-/// PW-DW-PW at layers i..i+2 with both intermediates free of residual taps.
-bool model_triple_fusable(const ModelGraph& model, int i) {
-  const int n = model.num_layers();
-  if (i + 2 >= n) return false;
-  const LayerSpec& a = model.layers[static_cast<std::size_t>(i)];
-  const LayerSpec& b = model.layers[static_cast<std::size_t>(i + 1)];
-  const LayerSpec& c = model.layers[static_cast<std::size_t>(i + 2)];
-  if (a.kind != ConvKind::kPointwise || b.kind != ConvKind::kDepthwise ||
-      c.kind != ConvKind::kPointwise) {
-    return false;
+/// For every position i where `searched(i)`, the first such position whose
+/// `width` layers equal those from i on in every field but the name; -1
+/// where `searched(i)` is false. `geometry` is the model's layers with their
+/// names cleared.
+template <typename Searched>
+std::vector<int> first_occurrences(const std::vector<LayerSpec>& geometry,
+                                   int width, const Searched& searched) {
+  const int n = static_cast<int>(geometry.size());
+  std::vector<int> first(static_cast<std::size_t>(n), -1);
+  for (int i = 0; i < n; ++i) {
+    if (!searched(i)) continue;
+    first[static_cast<std::size_t>(i)] = i;
+    for (int j = 0; j < i; ++j) {
+      if (first[static_cast<std::size_t>(j)] != j) continue;
+      bool same = true;
+      for (int d = 0; d < width && same; ++d) {
+        same = geometry[static_cast<std::size_t>(j + d)] ==
+               geometry[static_cast<std::size_t>(i + d)];
+      }
+      if (same) {
+        first[static_cast<std::size_t>(i)] = j;
+        break;
+      }
+    }
   }
-  if (!a.allow_fusion || !b.allow_fusion || !c.allow_fusion) return false;
-  if (model.feeds_residual(i) || model.receives_residual(i)) return false;
-  if (model.feeds_residual(i + 1) || model.receives_residual(i + 1)) {
-    return false;
-  }
-  return a.ofm_shape() == b.ifm_shape() && b.ofm_shape() == c.ifm_shape();
+  return first;
 }
 
 PlanStep make_fcm3_step(int layer, const Fcm3Choice& c) {
@@ -143,24 +170,48 @@ Plan plan_model(const gpusim::DeviceSpec& dev, const ModelGraph& model,
   // pass fans out over the global pool: each worker writes only its own slot
   // and the DP below runs after the join, so plans are identical to a serial
   // pass for any worker count.
+  //
+  // Models repeat their blocks, and each search is a pure function of the
+  // layers it reads, names aside (dev, dt and ts are fixed here). So only the
+  // first occurrence of each distinct layer, fusable pair and fusable triple
+  // is searched, and the repeats copy its choice after the join.
+  std::vector<LayerSpec> geometry = model.layers;
+  for (LayerSpec& l : geometry) l.name.clear();
+  const auto lbl_src = first_occurrences(geometry, 1, [](int) { return true; });
+  const auto pair_src = first_occurrences(
+      geometry, 2, [&](int i) { return model_pair_fusable(model, i); });
+  const auto triple_src = first_occurrences(geometry, 3, [&](int i) {
+    return options.enable_triple && model_triple_fusable(model, i);
+  });
+
   std::vector<LblChoice> lbl(static_cast<std::size_t>(n));
   std::vector<std::optional<FcmChoice>> fused(static_cast<std::size_t>(n));
   std::vector<std::optional<Fcm3Choice>> triple(static_cast<std::size_t>(n));
   ThreadPool::global().parallel_for(n, [&](std::int64_t idx) {
     const int i = static_cast<int>(idx);
     const std::size_t s = static_cast<std::size_t>(i);
-    lbl[s] = lbl_choice_for(dev, model.layers[s], dt, ts);
-    if (model_pair_fusable(model, i)) {
+    if (lbl_src[s] == i) lbl[s] = lbl_choice_for(dev, model.layers[s], dt, ts);
+    if (pair_src[s] == i) {
       FcmKind kind;
       fcm_kind_for(model.layers[s], model.layers[s + 1], kind);
       fused[s] = best_fcm_tiling(dev, kind, model.layers[s],
                                  model.layers[s + 1], dt, ts);
     }
-    if (options.enable_triple && model_triple_fusable(model, i)) {
+    if (triple_src[s] == i) {
       triple[s] = best_pwdwpw_tiling(dev, model.layers[s], model.layers[s + 1],
                                      model.layers[s + 2], dt, ts);
     }
   });
+  for (int i = 0; i < n; ++i) {
+    const std::size_t s = static_cast<std::size_t>(i);
+    if (lbl_src[s] != i) lbl[s] = lbl[static_cast<std::size_t>(lbl_src[s])];
+    if (pair_src[s] >= 0 && pair_src[s] != i) {
+      fused[s] = fused[static_cast<std::size_t>(pair_src[s])];
+    }
+    if (triple_src[s] >= 0 && triple_src[s] != i) {
+      triple[s] = triple[static_cast<std::size_t>(triple_src[s])];
+    }
+  }
 
   // DP over the chain: dp[i] = min model score for layers i..n-1; take[i] is
   // the number of layers the winning step at i covers. Under the analytical
@@ -227,12 +278,7 @@ Plan plan_model_greedy(const gpusim::DeviceSpec& dev, const ModelGraph& model,
     const LayerSpec& cur = model.layers[static_cast<std::size_t>(i)];
     // INT8 standard convs are outside the paper's scope; they also block
     // fusion, so they always go LBL (executed in FP32 by the runtime).
-    const bool can_pair =
-        i + 1 < n && !model.feeds_residual(i) && !model.receives_residual(i) &&
-        cur.allow_fusion &&
-        model.layers[static_cast<std::size_t>(i + 1)].allow_fusion &&
-        pair_fusable(cur, model.layers[static_cast<std::size_t>(i + 1)]);
-    if (can_pair) {
+    if (model_pair_fusable(model, i)) {
       const auto d =
           plan_pair(dev, cur, model.layers[static_cast<std::size_t>(i + 1)], dt);
       if (d.fuse()) {

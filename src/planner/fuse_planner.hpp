@@ -91,4 +91,13 @@ Plan plan_model_lbl(const gpusim::DeviceSpec& dev, const ModelGraph& model,
 /// consumed by a residual edge.
 bool pair_fusable(const LayerSpec& first, const LayerSpec& second);
 
+/// plan_model's rule for fusing layers i, i+1 of `model`: pair_fusable, both
+/// layers allow fusion, and layer i neither feeds nor receives a residual.
+bool model_pair_fusable(const ModelGraph& model, int i);
+
+/// plan_model's rule for fusing layers i..i+2 of `model` into one PWDWPW
+/// module: PW-DW-PW kinds that chain, all three allow fusion, and neither
+/// intermediate (layers i, i+1) feeds or receives a residual.
+bool model_triple_fusable(const ModelGraph& model, int i);
+
 }  // namespace fcm::planner

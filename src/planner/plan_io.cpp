@@ -1,11 +1,13 @@
 #include "planner/plan_io.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "planner/cost_model.hpp"
+#include "planner/fuse_planner.hpp"
 
 namespace fcm::planner {
 
@@ -100,7 +102,11 @@ Plan deserialize(const std::string& text) {
     Plan plan;
     plan.model_name = get(f, "model");
     plan.device_name = get(f, "device");
-    plan.dtype = get(f, "dtype") == "int8" ? DType::kI8 : DType::kF32;
+    const std::string dtype = get(f, "dtype");
+    FCM_CHECK(dtype == dtype_name(DType::kF32) ||
+                  dtype == dtype_name(DType::kI8),
+              "plan_io: unknown dtype '" + dtype + "'");
+    plan.dtype = dtype == dtype_name(DType::kI8) ? DType::kI8 : DType::kF32;
 
     while (std::getline(is, line)) {
       if (line.empty()) continue;
@@ -138,54 +144,90 @@ Plan deserialize(const std::string& text) {
   }
 }
 
+namespace {
+
+/// A tile size the step's kind uses must lie in 1..extent, the range the
+/// planner enumerates it over; an unused one (extent 0) must be 0, as
+/// serialize writes it.
+void check_tile(const PlanStep& s, const char* field, int v, int extent) {
+  const bool ok = extent == 0 ? v == 0 : v >= 1 && v <= extent;
+  FCM_CHECK(ok, "reconcile: step at layer " + std::to_string(s.layer) + ": " +
+                    field + "=" + std::to_string(v) +
+                    (extent == 0 ? " must be 0"
+                                 : " outside 1.." + std::to_string(extent)));
+}
+
+}  // namespace
+
 void reconcile(const gpusim::DeviceSpec& dev, const ModelGraph& model,
                Plan& plan) {
   model.validate();
   const int n = model.num_layers();
-  std::vector<bool> covered(static_cast<std::size_t>(n), false);
-  auto claim = [&](int i) {
-    FCM_CHECK(i >= 0 && i < n, "reconcile: layer index out of range");
-    FCM_CHECK(!covered[static_cast<std::size_t>(i)],
-              "reconcile: layer " + std::to_string(i) + " covered twice");
-    covered[static_cast<std::size_t>(i)] = true;
+  const auto layer = [&](int i) -> const LayerSpec& {
+    return model.layers[static_cast<std::size_t>(i)];
   };
 
+  // Each step starts at the first layer not yet covered and covers
+  // consecutive layers, so steps run in layer order and cover each layer
+  // exactly once.
+  int next = 0;
   for (auto& s : plan.steps) {
+    const int width = !s.fused ? 1 : s.layer3 >= 0 ? 3 : 2;
+    FCM_CHECK(s.layer == next && next + width <= n,
+              "reconcile: step at layer " + std::to_string(s.layer) +
+                  " does not cover layers from " + std::to_string(next) +
+                  " on");
+    FCM_CHECK(width < 2 || (s.layer2 == s.layer + 1 &&
+                            (width < 3 || s.layer3 == s.layer + 2)),
+              "reconcile: fused layers from " + std::to_string(s.layer) +
+                  " are not consecutive");
+    next += width;
+
+    const LayerSpec& a = layer(s.layer);
     if (!s.fused) {
-      claim(s.layer);
-      const LayerSpec& spec = model.layers[static_cast<std::size_t>(s.layer)];
-      const DType dt =
-          spec.kind == ConvKind::kStandard ? DType::kF32 : plan.dtype;
-      s.stats = lbl_stats(spec, s.lbl_tiling, dt);
+      check_tile(s, "th", s.lbl_tiling.tile_h, a.out_h());
+      check_tile(s, "tw", s.lbl_tiling.tile_w, a.out_w());
+      check_tile(s, "tf", s.lbl_tiling.tile_f, a.out_c);
+      const DType dt = a.kind == ConvKind::kStandard ? DType::kF32 : plan.dtype;
+      s.stats = lbl_stats(a, s.lbl_tiling, dt);
       continue;
     }
-    claim(s.layer);
-    claim(s.layer2);
-    const LayerSpec& a = model.layers[static_cast<std::size_t>(s.layer)];
-    const LayerSpec& b = model.layers[static_cast<std::size_t>(s.layer2)];
-    if (s.layer3 >= 0) {
-      claim(s.layer3);
+    const LayerSpec& b = layer(s.layer2);
+    const LayerSpec& last = layer(s.layer + width - 1);
+    int c_extent = 0;  // tile_c's range
+    int f_extent = 0;  // chunk_f's range
+    if (width == 3) {
+      FCM_CHECK(model_triple_fusable(model, s.layer),
+                "reconcile: layers " + std::to_string(s.layer) + ".." +
+                    std::to_string(s.layer3) + " are not a fusable triple");
       FCM_CHECK(s.fcm_kind == FcmKind::kPwDwPw,
                 "reconcile: three layers require PWDWPW");
-      const LayerSpec& c = model.layers[static_cast<std::size_t>(s.layer3)];
-      s.stats = pwdwpw_stats(a, b, c, s.fcm_tiling, plan.dtype);
+      f_extent = std::max(a.out_c, last.out_c);
     } else {
-      FcmKind expected;
-      FCM_CHECK(fcm_kind_for(a, b, expected),
+      FCM_CHECK(model_pair_fusable(model, s.layer),
                 "reconcile: layers " + std::to_string(s.layer) + "," +
                     std::to_string(s.layer2) + " are not a fusable pair");
+      FcmKind expected;
+      fcm_kind_for(a, b, expected);
       const bool pwdw_family =
           (expected == FcmKind::kPwDw) &&
           (s.fcm_kind == FcmKind::kPwDw || s.fcm_kind == FcmKind::kPwDwR);
       FCM_CHECK(s.fcm_kind == expected || pwdw_family,
                 "reconcile: FCM kind does not match layer kinds");
-      s.stats = fcm_stats(s.fcm_kind, a, b, s.fcm_tiling, plan.dtype);
+      if (pwdw_family) c_extent = a.out_c;
+      if (expected == FcmKind::kDwPw) f_extent = b.out_c;
+      if (expected == FcmKind::kPwPw) f_extent = std::max(a.out_c, b.out_c);
     }
+    check_tile(s, "th", s.fcm_tiling.tile_h, last.out_h());
+    check_tile(s, "tw", s.fcm_tiling.tile_w, last.out_w());
+    check_tile(s, "tc", s.fcm_tiling.tile_c, c_extent);
+    check_tile(s, "cf", s.fcm_tiling.chunk_f, f_extent);
+    s.stats = width == 3
+                  ? pwdwpw_stats(a, b, last, s.fcm_tiling, plan.dtype)
+                  : fcm_stats(s.fcm_kind, a, b, s.fcm_tiling, plan.dtype);
   }
-  for (int i = 0; i < n; ++i) {
-    FCM_CHECK(covered[static_cast<std::size_t>(i)],
-              "reconcile: layer " + std::to_string(i) + " not covered");
-  }
+  FCM_CHECK(next == n,
+            "reconcile: layer " + std::to_string(next) + " not covered");
   plan.device_name = dev.name;
 }
 

@@ -30,8 +30,11 @@ std::string serialize(const Plan& plan);
 Plan deserialize(const std::string& text);
 
 /// Recompute every step's predicted stats for `model` on `dev` and validate
-/// the schedule against the model (step coverage, layer kinds, chaining).
-/// Throws fcm::Error when the plan does not fit the model.
+/// the schedule against the model: steps cover the layers in order, each
+/// once; fused steps obey plan_model's fusability rules and layer kinds;
+/// every tile size a step's kind uses lies in 1..the extent the planner
+/// searches it over, and unused ones are 0. Throws fcm::Error when the plan
+/// does not fit the model.
 void reconcile(const gpusim::DeviceSpec& dev, const ModelGraph& model,
                Plan& plan);
 

@@ -1,7 +1,9 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/l2_model.hpp"
 #include "kernels/conv_ref.hpp"
@@ -48,6 +50,14 @@ ModelReport evaluate_tvm(const gpusim::DeviceSpec& dev,
 ModelRunner::ModelRunner(gpusim::DeviceSpec dev, ModelGraph model,
                          std::uint64_t seed, std::optional<QuantParams> quant)
     : dev_(std::move(dev)), model_(std::move(model)) {
+  if (quant) {
+    const auto usable = [](float scale) {
+      return std::isfinite(scale) && scale > 0.0f;
+    };
+    FCM_CHECK(usable(quant->in_scale) && usable(quant->w_scale) &&
+                  usable(quant->out_scale),
+              "ModelRunner: INT8 quant scales must be finite and > 0");
+  }
   model_.validate();
   const int n = model_.num_layers();
   weights_f_.resize(static_cast<std::size_t>(n));

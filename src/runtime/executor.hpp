@@ -36,7 +36,8 @@ class ModelRunner {
   /// Materialise deterministic random weights/norm parameters for `model`.
   /// `quant` overrides the per-layer INT8 quantisation parameters uniformly
   /// when set (serving requests carry per-model quant params); the default
-  /// keeps the library-wide 0.1/0.02/0.1 symmetric scales.
+  /// keeps the library-wide 0.1/0.02/0.1 symmetric scales. Throws fcm::Error
+  /// unless every scale of `quant` is finite and > 0.
   ModelRunner(gpusim::DeviceSpec dev, ModelGraph model, std::uint64_t seed,
               std::optional<QuantParams> quant = std::nullopt);
 

@@ -2,6 +2,8 @@
 // operational estimators, plus structural invariants of the estimates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "planner/cost_model.hpp"
 
 namespace fcm::planner {
@@ -55,6 +57,83 @@ TEST(PaperEq, PwdwGmaTracksOperationalWithinTolerance) {
   const double op = static_cast<double>(st.gma_bytes()) / 4.0;
   const double eq = static_cast<double>(paper_eq::pwdw_gma(pw, dw, t));
   EXPECT_NEAR(eq / op, 1.0, 0.10);
+}
+
+// Reference loops: walk every tile or output and clamp its window to the
+// input, as the kernels do.
+std::int64_t ref_sum_in_extents(int out_total, int tile, int k, int s, int pad,
+                                int in_total) {
+  std::int64_t sum = 0;
+  for (int o0 = 0; o0 < out_total; o0 += tile) {
+    const int cur = std::min(tile, out_total - o0);
+    const int lo = std::max(0, o0 * s - pad);
+    const int hi = std::min(in_total, (o0 + cur - 1) * s - pad + k);
+    sum += hi - lo;
+  }
+  return sum;
+}
+
+std::int64_t ref_sum_taps(int out_total, int k, int s, int pad,
+                          int in_total) {
+  std::int64_t sum = 0;
+  for (int o = 0; o < out_total; ++o) {
+    const int lo = o * s - pad;
+    for (int t = 0; t < k; ++t) {
+      const int i = lo + t;
+      if (i >= 0 && i < in_total) ++sum;
+    }
+  }
+  return sum;
+}
+
+MidExtents ref_mid_extents(int out_total, int tile, int k, int s, int pad,
+                           int mid_total) {
+  MidExtents m;
+  int idx = 0;
+  for (int o0 = 0; o0 < out_total; o0 += tile, ++idx) {
+    const int cur = std::min(tile, out_total - o0);
+    const int lo = std::max(0, o0 * s - pad);
+    const int hi = std::min(mid_total, (o0 + cur - 1) * s - pad + k);
+    const int red = idx > 0 ? std::max(0, ((o0 - 1) * s - pad + k) - lo) : 0;
+    m.total += hi - lo;
+    m.exclusive += (hi - lo) - red;
+  }
+  return m;
+}
+
+TEST(CostModel, ClosedFormExtentSumsMatchReferenceLoops) {
+  // Every geometry the zoo uses and more: the input is the extent that
+  // yields `out` outputs, or one more or less; tiles run past `out`.
+  std::int64_t checked = 0;
+  for (int out = 1; out <= 230; ++out) {
+    for (int k = 1; k <= 7; ++k) {
+      for (int s = 1; s <= 4; ++s) {
+        for (int pad = 0; pad <= 3; ++pad) {
+          for (int d : {-1, 0, 1}) {
+            const int in = (out - 1) * s + k - 2 * pad + d;
+            ASSERT_EQ(sum_taps(out, k, s, pad, in),
+                      ref_sum_taps(out, k, s, pad, in))
+                << "out=" << out << " k=" << k << " s=" << s
+                << " pad=" << pad << " in=" << in;
+            for (int tile = 1; tile <= out + 8; ++tile) {
+              const MidExtents m = mid_extents(out, tile, k, s, pad, in);
+              const MidExtents r = ref_mid_extents(out, tile, k, s, pad, in);
+              ASSERT_EQ(sum_in_extents(out, tile, k, s, pad, in),
+                        ref_sum_in_extents(out, tile, k, s, pad, in))
+                  << "out=" << out << " tile=" << tile << " k=" << k
+                  << " s=" << s << " pad=" << pad << " in=" << in;
+              ASSERT_EQ(m.total, r.total);
+              ASSERT_EQ(m.exclusive, r.exclusive)
+                  << "out=" << out << " tile=" << tile << " k=" << k
+                  << " s=" << s << " pad=" << pad << " in=" << in;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 9544080);
 }
 
 TEST(CostModel, EpilogueOpsReflectPrecisionAndActivation) {

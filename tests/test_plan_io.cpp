@@ -87,33 +87,79 @@ TEST(PlanIo, RejectsMalformedInput) {
   EXPECT_THROW(deserialize("fcmplan v1 model=x device=y dtype=fp32\n"
                            "fcm kind=DWPW layers=1,x th=1 tw=1 tc=0 cf=8\n"),
                Error);
+  // Only the dtypes serialize writes; anything else is not silently fp32.
+  EXPECT_THROW(deserialize("fcmplan v1 model=x device=y dtype=fp16\n"), Error);
 }
 
 TEST(PlanIo, ReconcileRejectsUnsoundSchedules) {
   const auto dev = gpusim::gtx1660();
-  const auto model = models::mobilenet_v1();
+  const auto mob = models::mobilenet_v1();
+  const auto pw = LayerSpec::pointwise("pw", 16, 8, 8, 16);
+  const auto dw = LayerSpec::depthwise("dw", 16, 8, 8, 3, 1);
+  const ModelGraph pw2{"pw2", {pw, pw}, {}};
+  const ModelGraph pw3{"pw3", {pw, pw, pw}, {}};
+  const ModelGraph skip{"skip", {pw, pw, pw}, {{0, 2}}};
+  ModelGraph pinned = pw2;
+  pinned.layers[1].allow_fusion = false;
+  const ModelGraph pwdw{"pwdw", {pw, dw}, {}};
+  const ModelGraph dwpw{"dwpw", {dw, pw}, {}};
 
-  // Missing coverage: only layer 0 planned.
-  {
-    auto p = deserialize(
-        "fcmplan v1 model=Mob_v1 device=GTX-1660 dtype=fp32\n"
-        "lbl layer=0 th=4 tw=4 tf=16\n");
-    EXPECT_THROW(reconcile(dev, model, p), Error);
+  struct Row {
+    const char* why;
+    const ModelGraph& model;
+    std::string steps;
+  };
+  const std::string lbl = " th=4 tw=4 tf=16\n";
+  const std::string big = "2147483647";
+  const std::string mob_plan = serialize(plan_model(dev, mob, DType::kF32));
+  const std::string mob_steps = mob_plan.substr(mob_plan.find('\n') + 1);
+  const std::vector<Row> rows = {
+      {"missing coverage", mob, "lbl layer=0" + lbl},
+      {"double coverage", mob, mob_steps + "lbl layer=0" + lbl},
+      // Layer 0 is a standard conv, which no FCM takes.
+      {"standard conv in an FCM", mob,
+       "fcm kind=DWPW layers=0,1 th=4 tw=4 tc=0 cf=8\n"},
+      {"steps out of layer order", pw2,
+       "lbl layer=1" + lbl + "lbl layer=0" + lbl},
+      {"fused layers not adjacent", pw3,
+       "fcm kind=PWPW layers=0,2 th=4 tw=4 tc=0 cf=16\nlbl layer=1" + lbl},
+      {"fusion across a residual tap", skip,
+       "fcm kind=PWPW layers=0,1 th=4 tw=4 tc=0 cf=16\nlbl layer=2" + lbl},
+      {"fusion into an allow_fusion=false layer", pinned,
+       "fcm kind=PWPW layers=0,1 th=4 tw=4 tc=0 cf=16\n"},
+      {"tiles past int range", pwdw,
+       "fcm kind=PWDW_R layers=0,1 th=" + big + " tw=" + big + " tc=" + big +
+           " cf=" + big + "\n"},
+      {"DWPW with cf=0", dwpw,
+       "fcm kind=DWPW layers=0,1 th=4 tw=4 tc=0 cf=0\n"},
+      {"DWPW with an unused tc", dwpw,
+       "fcm kind=DWPW layers=0,1 th=4 tw=4 tc=8 cf=16\n"},
+      {"LBL tile past the extent", pw2,
+       "lbl layer=0 th=9 tw=4 tf=16\nlbl layer=1" + lbl},
+  };
+  const auto load = [](const Row& r) {
+    return deserialize("fcmplan v1 model=" + r.model.name +
+                       " device=GTX-1660 dtype=fp32\n" + r.steps);
+  };
+  for (const auto& r : rows) {
+    auto p = load(r);
+    EXPECT_THROW(reconcile(dev, r.model, p), Error) << r.why;
   }
-  // Double coverage.
-  {
-    auto p = plan_model(dev, model, DType::kF32);
-    auto text = serialize(p);
-    text += "lbl layer=0 th=4 tw=4 tf=16\n";
-    auto dup = deserialize(text);
-    EXPECT_THROW(reconcile(dev, model, dup), Error);
-  }
-  // Kind mismatch: layer 0 is a standard conv, cannot be in an FCM.
-  {
-    auto p = deserialize(
-        "fcmplan v1 model=Mob_v1 device=GTX-1660 dtype=fp32\n"
-        "fcm kind=DWPW layers=0,1 th=4 tw=4 tc=0 cf=8\n");
-    EXPECT_THROW(reconcile(dev, model, p), Error);
+
+  // The same models take sound schedules, so each rejection above comes
+  // from the rule its row names.
+  const std::vector<Row> sound = {
+      {"in order", pw2, "lbl layer=0" + lbl + "lbl layer=1" + lbl},
+      {"PWPW", pw3,
+       "fcm kind=PWPW layers=0,1 th=4 tw=4 tc=0 cf=16\nlbl layer=2" + lbl},
+      {"past the skip", skip, "lbl layer=0" + lbl +
+           "fcm kind=PWPW layers=1,2 th=8 tw=8 tc=0 cf=16\n"},
+      {"PWDW_R", pwdw, "fcm kind=PWDW_R layers=0,1 th=4 tw=8 tc=16 cf=0\n"},
+      {"DWPW", dwpw, "fcm kind=DWPW layers=0,1 th=1 tw=8 tc=0 cf=16\n"},
+  };
+  for (const auto& r : sound) {
+    auto p = load(r);
+    EXPECT_NO_THROW(reconcile(dev, r.model, p)) << r.why;
   }
 }
 

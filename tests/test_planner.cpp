@@ -4,6 +4,7 @@
 
 #include "common/thread_pool.hpp"
 #include "gpusim/device_spec.hpp"
+#include "kernels/kernel_registry.hpp"
 #include "models/model_zoo.hpp"
 #include "planner/fuse_planner.hpp"
 #include "planner/plan_io.hpp"
@@ -182,6 +183,72 @@ TEST(FusePlanner, LblPlanDeterministicAcrossWorkerCounts) {
       with_pool(5, [&] { return plan_model_lbl(dev, model, DType::kF32); });
   EXPECT_EQ(serialize(serial), serialize(parallel));
   EXPECT_EQ(serial.total_gma_bytes(), parallel.total_gma_bytes());
+}
+
+TEST(FusePlanner, RepeatedBlocksAreSearchedOnce) {
+  // One CeiT LeFF block (PW expand -> DW -> PW project) and a model of three
+  // renamed copies of it have the same distinct layers, pairs and triples,
+  // so planning either makes exactly as many exact evaluations.
+  const auto dev = gpusim::rtx_a4000();
+  const auto ceit = models::ceit();
+  ModelGraph block;
+  block.name = "leff";
+  block.layers.assign(ceit.layers.begin() + 2, ceit.layers.begin() + 5);
+  ModelGraph copies;
+  copies.name = "leff_x3";
+  for (int c = 0; c < 3; ++c) {
+    for (LayerSpec l : block.layers) {
+      l.name += "_" + std::to_string(c);
+      copies.layers.push_back(l);
+    }
+  }
+  PlanOptions opt;
+  opt.enable_triple = true;
+  for (DType dt : {DType::kF32, DType::kI8}) {
+    reset_candidates_evaluated();
+    plan_model(dev, block, dt, opt);
+    const std::int64_t one = candidates_evaluated();
+    reset_candidates_evaluated();
+    const auto plan = plan_model(dev, copies, dt, opt);
+    EXPECT_EQ(candidates_evaluated(), one) << dtype_name(dt);
+
+    // Every step, repeats included, equals a fresh search on its layers.
+    for (const auto& s : plan.steps) {
+      const auto& a = copies.layers[static_cast<std::size_t>(s.layer)];
+      if (!s.fused) {
+        const auto fresh = best_lbl_tiling(dev, a, dt);
+        ASSERT_TRUE(fresh.has_value());
+        EXPECT_EQ(s.lbl_tiling.tile_h, fresh->tiling.tile_h);
+        EXPECT_EQ(s.lbl_tiling.tile_w, fresh->tiling.tile_w);
+        EXPECT_EQ(s.lbl_tiling.tile_f, fresh->tiling.tile_f);
+        EXPECT_EQ(s.stats, fresh->stats) << "layer " << s.layer;
+        continue;
+      }
+      const auto& b = copies.layers[static_cast<std::size_t>(s.layer2)];
+      FcmTiling t;
+      gpusim::KernelStats st;
+      if (s.layer3 >= 0) {
+        const auto fresh = best_pwdwpw_tiling(
+            dev, a, b, copies.layers[static_cast<std::size_t>(s.layer3)], dt);
+        ASSERT_TRUE(fresh.has_value());
+        t = fresh->tiling;
+        st = fresh->stats;
+      } else {
+        FcmKind kind;
+        ASSERT_TRUE(fcm_kind_for(a, b, kind));
+        const auto fresh = best_fcm_tiling(dev, kind, a, b, dt);
+        ASSERT_TRUE(fresh.has_value());
+        EXPECT_EQ(s.fcm_kind, fresh->kind);
+        t = fresh->tiling;
+        st = fresh->stats;
+      }
+      EXPECT_EQ(s.fcm_tiling.tile_h, t.tile_h);
+      EXPECT_EQ(s.fcm_tiling.tile_w, t.tile_w);
+      EXPECT_EQ(s.fcm_tiling.tile_c, t.tile_c);
+      EXPECT_EQ(s.fcm_tiling.chunk_f, t.chunk_f);
+      EXPECT_EQ(s.stats, st) << "layer " << s.layer;
+    }
+  }
 }
 
 TEST(FusePlanner, DescribeMentionsEveryStepKind) {

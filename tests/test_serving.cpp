@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -479,6 +480,26 @@ TEST(InferenceEngine, I8SubmitParityWithDirectRunner) {
   // The INT8 plan went through the cache under its own dtype key.
   EXPECT_TRUE(engine.plan_cache().contains(
       PlanKey{"Tiny", dev.name, DType::kI8, opt.plan_options}));
+}
+
+TEST(InferenceEngine, InvalidI8QuantParamsFailTheRequest) {
+  // A zero, negative or NaN scale would turn every output into -128 (or
+  // garbage) with status ok; the runner rejects it before materialising any
+  // weights, and the engine stays usable.
+  EngineOptions opt;
+  InferenceEngine engine(gpusim::jetson_orin(), opt);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const QuantParams& q : {QuantParams{0.1f, 0.02f, 0.0f},
+                               QuantParams{nan, 0.02f, 0.1f},
+                               QuantParams{0.1f, -0.02f, 0.1f}}) {
+    auto fut =
+        engine.submit_async(ServeRequest::i8("Tiny", tiny_batch_i8(1, 7), q));
+    EXPECT_THROW(fut.get(), Error);
+  }
+  const ServeResponse ok = engine.submit_async(ServeRequest::i8(
+      "Tiny", tiny_batch_i8(1, 7), QuantParams{0.08f, 0.03f, 0.12f})).get();
+  EXPECT_TRUE(ok.ok());
+  ASSERT_EQ(ok.outputs_i8.size(), 1u);
 }
 
 TEST(InferenceEngine, SubmitAsyncDeliversFuturesUnderConcurrentProducers) {
