@@ -187,7 +187,8 @@ TEST(FusePlanner, LblPlanDeterministicAcrossWorkerCounts) {
 
 TEST(FusePlanner, RepeatedBlocksAreSearchedOnce) {
   // One CeiT LeFF block (PW expand -> DW -> PW project) and a model of three
-  // renamed copies of it have the same distinct layers, pairs and triples,
+  // renamed copies of it have the same distinct layers, pairs and triples
+  // (the projection has allow_fusion = false, so no pair spans two copies),
   // so planning either makes exactly as many exact evaluations.
   const auto dev = gpusim::rtx_a4000();
   const auto ceit = models::ceit();
