@@ -78,19 +78,32 @@ serving::ServingReport sim_replay(serving::ServingCluster& cluster,
 
   // One virtual-time step: with the cluster settled, move the clock to the
   // earliest pending wakeup (bounded by `target`). Returns false when
-  // nothing could move yet (unsettled, or a due wakeup's waiter has not run
-  // — re-nudged so it does) and the caller should yield and retry.
+  // nothing could move yet (unsettled, a due wakeup's waiter has not run —
+  // re-nudged so it does — or no finite instant to move to) and the caller
+  // should yield and retry.
+  //
+  // settled() and next_wakeup_s() are separate snapshots, so the wakeup is
+  // read on both sides of settled() and time moves only when the two reads
+  // agree. A worker woken by the previous set() may still count as parked
+  // while settled() runs; its due instant (<= now) shows in the first read
+  // unless it already left, and then settled() no longer counts it. A
+  // worker that parks in a new hold during settled() shows in the second.
   auto step_clock = [&](double target) {
-    if (!cluster.settled()) return false;
     const double now = clock->now_s();
     const double wakeup = cluster.next_wakeup_s();
+    if (!cluster.settled() || cluster.next_wakeup_s() != wakeup) return false;
     if (wakeup <= now) {
       // A waiter's deadline is due at (or before) the current instant but it
       // has not woken yet; set() re-notifies without moving time.
       clock->set(now);
       return false;
     }
-    clock->set(std::min(wakeup, target));
+    const double next = std::min(wakeup, target);
+    // Settled with nothing pending and no target: outstanding responses are
+    // mid-handoff (a worker between set_value and parking). Never move to
+    // +inf; the virtual span ends at the last finite event.
+    if (!std::isfinite(next)) return false;
+    clock->set(next);
     return true;
   };
 
@@ -117,7 +130,8 @@ serving::ServingReport sim_replay(serving::ServingCluster& cluster,
 
   // Drain: keep stepping until every response is harvested. A settled
   // cluster with no pending wakeup and outstanding futures is mid-handoff
-  // (a worker between set_value and parking) — yield, don't advance.
+  // (a worker between set_value and parking) — step_clock yields there
+  // instead of advancing.
   while (harvested < n) {
     harvest(false);
     if (harvested == n) break;

@@ -41,7 +41,7 @@ struct SimOptions {
 /// How far the simulation outran the host.
 struct SimSummary {
   /// Virtual span of the replay: first submission to full drain on the
-  /// ManualClock, seconds.
+  /// ManualClock, seconds. Finite: the clock stops at the last event.
   double virtual_s = 0.0;
   /// Host wall-clock time the replay took, seconds.
   double wall_s = 0.0;

@@ -374,6 +374,53 @@ TEST(SimReplay, OverloadedReplayIsDeterministic) {
   EXPECT_LT(rejected, static_cast<std::int64_t>(trace.requests.size()));
 }
 
+// Determinism as a property, not one trace: every generator kind, through
+// count-, seconds- and rotation-routed clusters with coalescing on and off,
+// replays to one digest and one finite virtual span on fresh clusters. The
+// load-based routers read the shards' gauges at each arrival, so a clock
+// step taken while a released worker is still leaving its hold shows up as
+// a different route.
+TEST(SimReplay, ReplayIsDeterministicForEveryKindRouterAndCoalescing) {
+  const serving::RouterPolicy routers[] = {
+      serving::RouterPolicy::kRoundRobin, serving::RouterPolicy::kLeastRequests,
+      serving::RouterPolicy::kLeastLoaded};
+  for (const GeneratorKind kind : kAllKinds) {
+    const Trace trace = generate_trace(small_spec(kind), 5);
+    for (const serving::RouterPolicy router : routers) {
+      for (const int coalesce : {1, 4}) {
+        std::string digests[2];
+        double spans[2] = {0.0, 0.0};
+        for (int run = 0; run < 2; ++run) {
+          auto clock = std::make_shared<ManualClock>();
+          serving::ClusterOptions copt;
+          copt.router = router;
+          copt.engine.clock = clock;
+          copt.engine.queue_workers = 2;
+          copt.engine.sim_dilation = 20.0;
+          copt.engine.virtual_hold = true;
+          copt.engine.scheduler.policy = serving::AdmissionPolicy::kReject;
+          copt.engine.scheduler.max_coalesce_batch = coalesce;
+          copt.engine.scheduler.coalesce_wait_us = coalesce > 1 ? 2000 : 0;
+          serving::ServingCluster cluster(
+              {gpusim::gtx1660(), gpusim::rtx_a4000()}, copt);
+          SimSummary summary;
+          digests[run] =
+              sim_replay(cluster, clock, trace, SimOptions{}, &summary)
+                  .deterministic_digest();
+          spans[run] = summary.virtual_s;
+        }
+        const std::string what = std::string(generator_name(kind)) + " / " +
+                                 serving::router_policy_name(router) +
+                                 " / coalesce " + std::to_string(coalesce);
+        EXPECT_EQ(digests[0], digests[1]) << what;
+        EXPECT_TRUE(std::isfinite(spans[0])) << what;
+        EXPECT_EQ(spans[0], spans[1]) << what;
+        EXPECT_GE(spans[0], trace.duration_s()) << what;
+      }
+    }
+  }
+}
+
 // With virtual holds, a held completion releases at exactly
 // sim_time x dilation after dispatch on the virtual clock — latency is an
 // exact multiple, something a real clock can only approximate.
