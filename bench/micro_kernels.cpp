@@ -166,6 +166,30 @@ void BM_FcmPwDwI8(benchmark::State& state) {
 }
 BENCHMARK(BM_FcmPwDwI8)->Arg(32)->Arg(64)->UseRealTime();
 
+void BM_FcmPwDwRGeluF32(benchmark::State& state) {
+  // CeiT's LeFF block, 192 -> 768 channels at 14x14 with a 3x3 DW and GELU
+  // on both layers, in 7x7 spatial tiles: the heaviest step of the
+  // functional mix, bound by GELU's scalar std::tanh.
+  const auto pw = LayerSpec::pointwise("pw", 192, 14, 14, 768, ActKind::kGELU);
+  const auto dw = LayerSpec::depthwise("dw", 768, 14, 14, 3, 1, ActKind::kGELU);
+  TensorF ifm(pw.ifm_shape());
+  fill_uniform(ifm, 1);
+  WeightsF w1(pw.filter_shape()), w2(dw.filter_shape());
+  fill_uniform(w1, 2);
+  fill_uniform(w2, 3);
+  const auto bn1 = BatchNorm::identity(768);
+  const auto bn2 = BatchNorm::identity(768);
+  const EpilogueF32 ep1(bn1, ActKind::kGELU), ep2(bn2, ActKind::kGELU);
+  TensorF ofm(dw.ofm_shape());
+  const FcmTiling t{7, 7, 64, 0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        run_pwdw_f32(kDev, pw, dw, ifm, w1, w2, ep1, ep2, ofm, t));
+  }
+  state.SetItemsProcessed(state.iterations() * (pw.macs() + dw.macs()));
+}
+BENCHMARK(BM_FcmPwDwRGeluF32)->UseRealTime();
+
 void BM_FcmPwPwI8(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   const auto pw1 = LayerSpec::pointwise("a", c, 14, 14, 2 * c);

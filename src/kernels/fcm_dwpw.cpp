@@ -152,11 +152,9 @@ gpusim::KernelStats run_dwpw_impl(const gpusim::DeviceSpec& dev,
       }
       for (int f = 0; f < fcur; ++f) {
         for (int oh = 0; oh < hcur; ++oh) {
-          In* out = &ofm.at(f0 + f, oh0 + oh, ow0);
-          const Acc* a = &acc[static_cast<std::size_t>(oh) * wcur * fcur + f];
-          for (int ow = 0; ow < wcur; ++ow) {
-            out[ow] = ep2.apply(f0 + f, a[static_cast<std::size_t>(ow) * fcur]);
-          }
+          ep2.apply_pixels(
+              f0 + f, &acc[static_cast<std::size_t>(oh) * wcur * fcur + f],
+              fcur, &ofm.at(f0 + f, oh0 + oh, ow0), wcur);
         }
       }
       macs2 += static_cast<std::int64_t>(fcur) * hcur * wcur * C;

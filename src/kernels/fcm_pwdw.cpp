@@ -141,10 +141,8 @@ gpusim::KernelStats run_pwdw_impl(const gpusim::DeviceSpec& dev,
                 C1, mw_cnt, ccur);
       In* row = comm_px(mh, mw_lo);  // [mw][c], the layout of acc1
       for (int m = 0; m < mw_cnt; ++m) {
-        for (int c = 0; c < ccur; ++c) {
-          const std::size_t i = static_cast<std::size_t>(m) * ccur + c;
-          row[i] = ep1.apply(c0 + c, acc1[i]);
-        }
+        const std::size_t px = static_cast<std::size_t>(m) * ccur;
+        ep1.apply_channels(c0, &acc1[px], &row[px], ccur);
       }
       macs1 += static_cast<std::int64_t>(ccur) * mw_cnt * C1;
 
@@ -172,11 +170,8 @@ gpusim::KernelStats run_pwdw_impl(const gpusim::DeviceSpec& dev,
           }
         }
         for (int c = 0; c < ccur; ++c) {
-          In* out = &ofm.at(c0 + c, next_oh, ow0);
-          for (int ow = 0; ow < wcur; ++ow) {
-            out[ow] = ep2.apply(
-                c0 + c, acc2[static_cast<std::size_t>(ow) * ccur + c]);
-          }
+          ep2.apply_pixels(c0 + c, &acc2[static_cast<std::size_t>(c)], ccur,
+                           &ofm.at(c0 + c, next_oh, ow0), wcur);
         }
         ++next_oh;
       }

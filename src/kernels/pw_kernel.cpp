@@ -99,14 +99,13 @@ gpusim::KernelStats run_pw_impl(const gpusim::DeviceSpec& dev,
     ctx.load_ifm(static_cast<std::int64_t>(C) * hcur * wcur * esz);
     ctx.shared_load(macs * esz);  // weight re-reads from shared
 
-    // Part 4: epilogue + single store of each output (OS).
+    // Part 4: epilogue + single store of each output (OS), one NCHW row at
+    // a time.
     for (int f = 0; f < fcur; ++f) {
       for (int oh = 0; oh < hcur; ++oh) {
-        In* out = &ofm.at(f0 + f, oh0 + oh, ow0);
-        const Acc* a = &acc[static_cast<std::size_t>(oh) * wcur * fcur + f];
-        for (int ow = 0; ow < wcur; ++ow) {
-          out[ow] = ep.apply(f0 + f, a[static_cast<std::size_t>(ow) * fcur]);
-        }
+        ep.apply_pixels(f0 + f,
+                        &acc[static_cast<std::size_t>(oh) * wcur * fcur + f],
+                        fcur, &ofm.at(f0 + f, oh0 + oh, ow0), wcur);
       }
     }
     const std::int64_t outs = static_cast<std::int64_t>(fcur) * hcur * wcur;

@@ -105,11 +105,9 @@ gpusim::KernelStats run_std_f32(const gpusim::DeviceSpec& dev,
     }
     for (int f = 0; f < fcur; ++f) {
       for (int oh = 0; oh < hcur; ++oh) {
-        float* out = &ofm.at(f0 + f, oh0 + oh, ow0);
-        const float* a = &acc[static_cast<std::size_t>(oh) * wcur * fcur + f];
-        for (int ow = 0; ow < wcur; ++ow) {
-          out[ow] = ep.apply(f0 + f, a[static_cast<std::size_t>(ow) * fcur]);
-        }
+        ep.apply_pixels(f0 + f,
+                        &acc[static_cast<std::size_t>(oh) * wcur * fcur + f],
+                        fcur, &ofm.at(f0 + f, oh0 + oh, ow0), wcur);
       }
     }
     ctx.shared_load(macs * esz);

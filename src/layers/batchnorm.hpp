@@ -36,9 +36,18 @@ class BatchNorm {
   int channels() const { return static_cast<int>(scale_.size()); }
   float scale(int c) const { return scale_[static_cast<std::size_t>(c)]; }
   float shift(int c) const { return shift_[static_cast<std::size_t>(c)]; }
+  /// Per-channel scales and shifts, channels() of each.
+  const float* scales() const { return scale_.data(); }
+  const float* shifts() const { return shift_.data(); }
 
   /// y = x * scale[c] + shift[c]
-  float apply(int c, float x) const { return x * scale(c) + shift(c); }
+  float apply(int c, float x) const { return affine(x, scale(c), shift(c)); }
+
+  /// The normalisation of one element, for callers that hold its channel's
+  /// scale and shift already.
+  static float affine(float x, float scale, float shift) {
+    return x * scale + shift;
+  }
 
  private:
   std::vector<float> scale_;

@@ -54,9 +54,13 @@ ModelRunner::ModelRunner(gpusim::DeviceSpec dev, ModelGraph model,
     const auto usable = [](float scale) {
       return std::isfinite(scale) && scale > 0.0f;
     };
+    // The epilogue multiplies by the derived scales, which can overflow or
+    // underflow even when every given scale is usable.
     FCM_CHECK(usable(quant->in_scale) && usable(quant->w_scale) &&
-                  usable(quant->out_scale),
-              "ModelRunner: INT8 quant scales must be finite and > 0");
+                  usable(quant->out_scale) && usable(quant->acc_scale()) &&
+                  usable(quant->out_inv_scale()),
+              "ModelRunner: INT8 quant scales, in_scale * w_scale and "
+              "1 / out_scale must be finite and > 0");
   }
   model_.validate();
   const int n = model_.num_layers();

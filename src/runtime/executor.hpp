@@ -37,7 +37,8 @@ class ModelRunner {
   /// `quant` overrides the per-layer INT8 quantisation parameters uniformly
   /// when set (serving requests carry per-model quant params); the default
   /// keeps the library-wide 0.1/0.02/0.1 symmetric scales. Throws fcm::Error
-  /// unless every scale of `quant` is finite and > 0.
+  /// unless every scale of `quant`, and its acc_scale() and out_inv_scale(),
+  /// is finite and > 0.
   ModelRunner(gpusim::DeviceSpec dev, ModelGraph model, std::uint64_t seed,
               std::optional<QuantParams> quant = std::nullopt);
 

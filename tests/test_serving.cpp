@@ -483,15 +483,19 @@ TEST(InferenceEngine, I8SubmitParityWithDirectRunner) {
 }
 
 TEST(InferenceEngine, InvalidI8QuantParamsFailTheRequest) {
-  // A zero, negative or NaN scale would turn every output into -128 (or
-  // garbage) with status ok; the runner rejects it before materialising any
-  // weights, and the engine stays usable.
+  // A zero, negative or NaN scale, or usable scales whose product
+  // in_scale * w_scale or inverse 1 / out_scale overflows to +inf, would
+  // turn every output into -128 (or garbage) with status ok; the runner
+  // rejects them before materialising any weights, and the engine stays
+  // usable.
   EngineOptions opt;
   InferenceEngine engine(gpusim::jetson_orin(), opt);
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const QuantParams& q : {QuantParams{0.1f, 0.02f, 0.0f},
                                QuantParams{nan, 0.02f, 0.1f},
-                               QuantParams{0.1f, -0.02f, 0.1f}}) {
+                               QuantParams{0.1f, -0.02f, 0.1f},
+                               QuantParams{1e20f, 1e20f, 0.1f},
+                               QuantParams{0.1f, 0.02f, 1e-39f}}) {
     auto fut =
         engine.submit_async(ServeRequest::i8("Tiny", tiny_batch_i8(1, 7), q));
     EXPECT_THROW(fut.get(), Error);
