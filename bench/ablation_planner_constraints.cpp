@@ -33,7 +33,7 @@ std::optional<planner::LblChoice> search(const gpusim::DeviceSpec& dev,
         if (st.shared_bytes_per_block > dev.max_shared_bytes) continue;
         if (require_occupancy && st.num_blocks < dev.num_sms) continue;
         if (!best || st.gma_bytes() < best->stats.gma_bytes()) {
-          best = planner::LblChoice{t, st, {}};
+          best = planner::LblChoice{t, st};
         }
       }
     }

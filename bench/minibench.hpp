@@ -3,11 +3,13 @@
 // library is not installed (CMake defines FCM_HAVE_GOOGLE_BENCHMARK when it
 // is, and micro_kernels.cpp includes the real <benchmark/benchmark.h>
 // instead). Implements: BENCHMARK(fn)->Arg(n)->UseRealTime() registration
-// chains, `for (auto _ : state)` iteration with adaptive iteration counts,
-// state.range(0), state.iterations(), state.SetItemsProcessed and
-// DoNotOptimize. Timing is wall-clock around the measured loop; output is
-// one "name/arg  time/iter  items/s" line per case — enough for regression
-// eyeballing, not a statistics engine.
+// chains with Repetitions(n), ComputeStatistics(name, fn),
+// ReportAggregatesOnly() and Apply(fn), `for (auto _ : state)` iteration
+// with adaptive iteration counts, state.range(0), state.iterations(),
+// state.SetItemsProcessed and DoNotOptimize. Timing is wall-clock around the
+// measured loop; output is one "name/arg  time/iter  items/s" line per
+// repetition (unless aggregates only) and one "name/arg_<stat>" line per
+// statistic over the repetitions' per-iteration times.
 #pragma once
 
 #include <algorithm>
@@ -94,12 +96,18 @@ inline void DoNotOptimize(T const& value) {
 #endif
 }
 
+/// A statistic over the repetitions' per-iteration times, e.g. their min.
+using StatisticsFunc = double(const std::vector<double>&);
+
 namespace detail {
+
+class Registrar;
 
 struct Case {
   std::string name;
   void (*fn)(State&);
   std::vector<std::int64_t> args;  // empty: run once with no Arg
+  const Registrar* owner;          // the BENCHMARK chain's settings
 };
 
 inline std::vector<Case>& registry() {
@@ -112,28 +120,56 @@ inline std::vector<Case>& registry() {
 /// where the chain is part of the registering initializer expression).
 class Registrar {
  public:
+  struct Statistic {
+    std::string name;
+    StatisticsFunc* fn;
+  };
+
   Registrar(const char* name, void (*fn)(State&)) : name_(name), fn_(fn) {
     index_ = registry().size();
-    registry().push_back(Case{name_, fn_, {}});
+    registry().push_back(Case{name_, fn_, {}, this});
   }
   Registrar* Arg(std::int64_t a) {
     Case& base = registry()[index_];
     if (base.args.empty() && !argged_) {
       base.args.push_back(a);
     } else {
-      registry().push_back(Case{name_, fn_, {a}});
+      registry().push_back(Case{name_, fn_, {a}, this});
     }
     argged_ = true;
     return this;
   }
   /// No-op: this harness always times wall-clock.
   Registrar* UseRealTime() { return this; }
+  Registrar* Repetitions(int n) {
+    repetitions_ = std::max(1, n);
+    return this;
+  }
+  Registrar* ComputeStatistics(const std::string& name, StatisticsFunc* fn) {
+    statistics_.push_back(Statistic{name, fn});
+    return this;
+  }
+  Registrar* ReportAggregatesOnly(bool value = true) {
+    aggregates_only_ = value;
+    return this;
+  }
+  Registrar* Apply(void (*fn)(Registrar*)) {
+    fn(this);
+    return this;
+  }
+
+  int repetitions() const { return repetitions_; }
+  const std::vector<Statistic>& statistics() const { return statistics_; }
+  bool aggregates_only() const { return aggregates_only_; }
 
  private:
   std::string name_;
   void (*fn_)(State&);
   std::size_t index_ = 0;
   bool argged_ = false;
+  int repetitions_ = 1;
+  std::vector<Statistic> statistics_;
+  bool aggregates_only_ = false;
 };
 
 /// The BENCHMARK macro's initializer — leaked on purpose, like the real
@@ -142,8 +178,22 @@ inline Registrar* make_registrar(const char* name, void (*fn)(State&)) {
   return new Registrar(name, fn);
 }
 
-/// Run one case twice: a 1-iteration calibration, then a measured run sized
-/// to ~0.2 s wall (capped) so fast and slow kernels both get stable numbers.
+inline void print_line(const std::string& label, double per_iter_s,
+                       double items_per_iter, std::int64_t iters) {
+  if (items_per_iter > 0) {
+    std::printf("%-28s %10.1f us/iter %12.1f Mitems/s  (%lld iters)\n",
+                label.c_str(), per_iter_s * 1e6,
+                items_per_iter / per_iter_s / 1e6,
+                static_cast<long long>(iters));
+  } else {
+    std::printf("%-28s %10.1f us/iter  (%lld iters)\n", label.c_str(),
+                per_iter_s * 1e6, static_cast<long long>(iters));
+  }
+}
+
+/// Run one case: a 1-iteration calibration, then each repetition's measured
+/// run sized to ~0.2 s wall (capped) so fast and slow kernels both get stable
+/// numbers, then the chain's statistics over the repetitions.
 inline void run_case(const Case& c) {
   State calib(1, c.args);
   c.fn(calib);
@@ -151,20 +201,22 @@ inline void run_case(const Case& c) {
   const auto iters = static_cast<std::int64_t>(
       std::min(1e4, std::max(1.0, 0.2 / per_iter)));
 
-  State state(iters, c.args);
-  c.fn(state);
-  const double s = state.elapsed_s();
-  const double per = s / static_cast<double>(state.iterations());
   std::string label = c.name;
   for (std::int64_t a : c.args) label += "/" + std::to_string(a);
-  if (state.items_processed() > 0) {
-    std::printf("%-24s %10.1f us/iter %12.1f Mitems/s  (%lld iters)\n",
-                label.c_str(), per * 1e6,
-                static_cast<double>(state.items_processed()) / s / 1e6,
-                static_cast<long long>(state.iterations()));
-  } else {
-    std::printf("%-24s %10.1f us/iter  (%lld iters)\n", label.c_str(),
-                per * 1e6, static_cast<long long>(state.iterations()));
+  std::vector<double> times;
+  double items_per_iter = 0.0;
+  for (int r = 0; r < c.owner->repetitions(); ++r) {
+    State state(iters, c.args);
+    c.fn(state);
+    const double n = static_cast<double>(state.iterations());
+    times.push_back(state.elapsed_s() / n);
+    items_per_iter = static_cast<double>(state.items_processed()) / n;
+    if (!c.owner->aggregates_only() || c.owner->statistics().empty()) {
+      print_line(label, times.back(), items_per_iter, iters);
+    }
+  }
+  for (const auto& st : c.owner->statistics()) {
+    print_line(label + "_" + st.name, st.fn(times), items_per_iter, iters);
   }
 }
 
@@ -177,6 +229,11 @@ inline int run_all() {
 }
 
 }  // namespace detail
+
+namespace internal {
+using Benchmark = detail::Registrar;
+}  // namespace internal
+
 }  // namespace benchmark
 
 #define FCM_MINIBENCH_CONCAT2(a, b) a##b

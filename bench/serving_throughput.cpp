@@ -684,10 +684,10 @@ int main(int argc, char** argv) {
       "Beam tile search: cold-plan cost, exhaustive vs beam width 8 "
       "(full zoo, FP32, RTX)");
   {
-    // Part 10: the autotuning loop's planning-latency payoff. The beam
-    // exactly evaluates only the top surrogate-ranked tile candidates, so a
-    // cold plan gets cheaper while the chosen plans' GMA must stay within 1%
-    // of the exhaustive search (the test suite asserts the same bar).
+    // Part 10: the beam tile search's planning-latency payoff. The beam
+    // exactly evaluates only the top candidates by surrogate GMA, so a cold
+    // plan gets cheaper while the chosen plans' GMA must stay within 1% of
+    // the exhaustive search (the test suite asserts the same bar).
     const auto dev = gpusim::rtx_a4000();
     const std::vector<std::string> zoo = {
         "Mob_v1", "Mob_v2", "XCe", "Prox", "CeiT", "CMT", "EffNet_B0"};

@@ -1,6 +1,5 @@
-// Strict flat-JSONL scanning and writing, shared by every line-oriented file
-// format in the repo: workload traces (src/workload/trace), autotune feature
-// logs and cost-model files (src/autotune), and the fcmtune fit summary.
+// Strict flat-JSONL scanning and writing for the repo's line-oriented file
+// format, workload traces (src/workload/trace).
 //
 // Accepted grammar per line: one flat JSON object with string keys and
 // number-or-string values. No nesting, no duplicate keys, no trailing
@@ -44,7 +43,7 @@ using Fields = std::vector<std::pair<std::string, FieldValue>>;
 /// Strict scanner for one flat JSON object line.
 class LineScanner {
  public:
-  /// `context` prefixes every error, e.g. "feature log".
+  /// `context` prefixes every error, e.g. "trace".
   LineScanner(const std::string& line, std::size_t line_no,
               std::string context)
       : s_(line), line_no_(line_no), context_(std::move(context)) {}

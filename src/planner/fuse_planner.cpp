@@ -90,9 +90,9 @@ namespace {
 
 /// Per-layer LBL choice with the standard-conv FP32 fallback applied.
 LblChoice lbl_choice_for(const gpusim::DeviceSpec& dev, const LayerSpec& spec,
-                         DType dt, const TileSearchOptions& ts = {}) {
+                         DType dt, int beam_width) {
   const DType layer_dt = spec.kind == ConvKind::kStandard ? DType::kF32 : dt;
-  auto lbl = best_lbl_tiling(dev, spec, layer_dt, ts);
+  auto lbl = best_lbl_tiling(dev, spec, layer_dt, beam_width);
   FCM_CHECK(lbl.has_value(),
             "no feasible LBL tiling for " + spec.name + " on " + dev.name);
   return *lbl;
@@ -149,21 +149,7 @@ Plan plan_model(const gpusim::DeviceSpec& dev, const ModelGraph& model,
   plan.dtype = dt;
 
   const int n = model.num_layers();
-
-  // Resolve the cost model once. Calibrated planning with no installed model
-  // is a hard error: falling back silently would cache an analytical plan
-  // under a calibrated cache key.
-  std::shared_ptr<const CostModel> keep;  // owns the calibrated model
-  const CostModel* cm = &analytical_cost_model();
-  if (options.cost_model == CostModelKind::kCalibrated) {
-    keep = calibrated_cost_model();
-    FCM_CHECK(keep != nullptr,
-              "plan_model: PlanOptions.cost_model = calibrated but no "
-              "calibrated cost model is installed (fit one with fcmtune and "
-              "load it via --cost-model-file)");
-    cm = keep.get();
-  }
-  const TileSearchOptions ts{cm, options.beam_width};
+  const int beam = options.beam_width;
 
   // Per-layer LBL costs, per-pair fused costs, per-triple fused costs. Every
   // layer/pair/triple is an independent tile search, so the whole estimator
@@ -172,9 +158,10 @@ Plan plan_model(const gpusim::DeviceSpec& dev, const ModelGraph& model,
   // pass for any worker count.
   //
   // Models repeat their blocks, and each search is a pure function of the
-  // layers it reads, names aside (dev, dt and ts are fixed here). So only the
-  // first occurrence of each distinct layer, fusable pair and fusable triple
-  // is searched, and the repeats copy its choice after the join.
+  // layers it reads, names aside (dev, dt and the beam are fixed here). So
+  // only the first occurrence of each distinct layer, fusable pair and
+  // fusable triple is searched, and the repeats copy its choice after the
+  // join.
   std::vector<LayerSpec> geometry = model.layers;
   for (LayerSpec& l : geometry) l.name.clear();
   const auto lbl_src = first_occurrences(geometry, 1, [](int) { return true; });
@@ -190,16 +177,18 @@ Plan plan_model(const gpusim::DeviceSpec& dev, const ModelGraph& model,
   ThreadPool::global().parallel_for(n, [&](std::int64_t idx) {
     const int i = static_cast<int>(idx);
     const std::size_t s = static_cast<std::size_t>(i);
-    if (lbl_src[s] == i) lbl[s] = lbl_choice_for(dev, model.layers[s], dt, ts);
+    if (lbl_src[s] == i) {
+      lbl[s] = lbl_choice_for(dev, model.layers[s], dt, beam);
+    }
     if (pair_src[s] == i) {
       FcmKind kind;
       fcm_kind_for(model.layers[s], model.layers[s + 1], kind);
       fused[s] = best_fcm_tiling(dev, kind, model.layers[s],
-                                 model.layers[s + 1], dt, ts);
+                                 model.layers[s + 1], dt, beam);
     }
     if (triple_src[s] == i) {
       triple[s] = best_pwdwpw_tiling(dev, model.layers[s], model.layers[s + 1],
-                                     model.layers[s + 2], dt, ts);
+                                     model.layers[s + 2], dt, beam);
     }
   });
   for (int i = 0; i < n; ++i) {
@@ -213,19 +202,16 @@ Plan plan_model(const gpusim::DeviceSpec& dev, const ModelGraph& model,
     }
   }
 
-  // DP over the chain: dp[i] = min model score for layers i..n-1; take[i] is
-  // the number of layers the winning step at i covers. Under the analytical
-  // model the scores are GMA byte counts carried exactly in doubles (every
-  // partial sum < 2^53), so the DP reproduces the historical integer DP
-  // bit-for-bit.
-  std::vector<double> dp(static_cast<std::size_t>(n) + 3, 0.0);
+  // DP over the chain: dp[i] = min total GMA bytes for layers i..n-1;
+  // take[i] is the number of layers the winning step at i covers.
+  std::vector<std::int64_t> dp(static_cast<std::size_t>(n) + 3, 0);
   std::vector<int> take(static_cast<std::size_t>(n), 1);
   for (int i = n - 1; i >= 0; --i) {
     const std::size_t s = static_cast<std::size_t>(i);
-    dp[s] = cm->score(dev, lbl[s].stats, lbl[s].ctx) + dp[s + 1];
+    dp[s] = lbl[s].stats.gma_bytes() + dp[s + 1];
     const auto& f = fused[s];
     if (f.has_value()) {
-      const double with_fuse = cm->score(dev, f->stats, f->ctx) + dp[s + 2];
+      const std::int64_t with_fuse = f->stats.gma_bytes() + dp[s + 2];
       if (with_fuse < dp[s]) {
         dp[s] = with_fuse;
         take[s] = 2;
@@ -233,8 +219,7 @@ Plan plan_model(const gpusim::DeviceSpec& dev, const ModelGraph& model,
     }
     const auto& t3 = triple[s];
     if (t3.has_value()) {
-      const double with_triple =
-          cm->score(dev, t3->stats, t3->ctx) + dp[s + 3];
+      const std::int64_t with_triple = t3->stats.gma_bytes() + dp[s + 3];
       if (with_triple < dp[s]) {
         dp[s] = with_triple;
         take[s] = 3;

@@ -51,13 +51,8 @@ PairDecision plan_pair(const gpusim::DeviceSpec& dev, const LayerSpec& first,
 struct PlanOptions {
   bool enable_triple = false;
 
-  /// Which cost model ranks candidates and drives the fusion DP.
-  /// kCalibrated requires a model installed via set_calibrated_cost_model()
-  /// (plan_model throws otherwise — no silent analytical fallback).
-  CostModelKind cost_model = CostModelKind::kAnalytical;
-
   /// Tile-search beam width; 0 = exhaustive (the paper's search). See
-  /// TileSearchOptions.
+  /// planner/tile_search.hpp.
   int beam_width = 0;
 
   /// Member-wise equality — serving/PlanCache keys include the options. A

@@ -34,33 +34,35 @@ bool feasible(const gpusim::DeviceSpec& dev, std::int64_t l1,
   return true;
 }
 
-/// Score `cands` and pick the winner by the model's order.
+/// The planner's order over exact candidates: fewer GMA bytes, then fewer
+/// blocks.
+bool better(const gpusim::KernelStats& a, const gpusim::KernelStats& b) {
+  if (a.gma_bytes() != b.gma_bytes()) return a.gma_bytes() < b.gma_bytes();
+  return a.num_blocks < b.num_blocks;
+}
+
+/// Score `cands` and pick the winner by better().
 ///
 /// Exhaustive mode evaluates every candidate exactly on the global pool, one
 /// slot per candidate. Beam mode first runs `approx` serially over all
-/// candidates — exact feasibility plus a model score over O(1) surrogate
-/// stats — keeps the `beam_width` best by (score, enumeration index), and
-/// only evaluates those exactly. Either way the final serial scan visits
+/// candidates — exact feasibility plus the GMA bytes of O(1) surrogate stats
+/// — keeps the `beam_width` best by (surrogate bytes, enumeration index),
+/// and only evaluates those exactly. Either way the final serial scan visits
 /// slots in a deterministic order and replaces on strictly-better, so the
 /// result is bit-identical regardless of worker count or scheduling.
 template <typename Candidate, typename Choice, typename Exact, typename Approx>
-std::optional<Choice> search_candidates(const gpusim::DeviceSpec& dev,
-                                        const std::vector<Candidate>& cands,
-                                        const TileSearchOptions& opt,
-                                        const Exact& exact,
+std::optional<Choice> search_candidates(const std::vector<Candidate>& cands,
+                                        int beam_width, const Exact& exact,
                                         const Approx& approx) {
-  const CostModel& model = opt.model ? *opt.model : analytical_cost_model();
-
   std::vector<std::size_t> order;
-  if (opt.beam_width > 0 &&
-      static_cast<std::size_t>(opt.beam_width) < cands.size()) {
-    std::vector<std::pair<double, std::size_t>> ranked;
+  if (beam_width > 0 && static_cast<std::size_t>(beam_width) < cands.size()) {
+    std::vector<std::pair<std::int64_t, std::size_t>> ranked;
     ranked.reserve(cands.size());
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (auto score = approx(cands[i])) ranked.emplace_back(*score, i);
+      if (auto gma = approx(cands[i])) ranked.emplace_back(*gma, i);
     }
     const std::size_t keep =
-        std::min(ranked.size(), static_cast<std::size_t>(opt.beam_width));
+        std::min(ranked.size(), static_cast<std::size_t>(beam_width));
     std::partial_sort(ranked.begin(), ranked.begin() + keep, ranked.end());
     order.reserve(keep);
     for (std::size_t i = 0; i < keep; ++i) order.push_back(ranked[i].second);
@@ -80,9 +82,7 @@ std::optional<Choice> search_candidates(const gpusim::DeviceSpec& dev,
       });
   std::optional<Choice> best;
   for (auto& s : slot) {
-    if (s.has_value() &&
-        (!best || model.better(dev, s->stats, s->ctx, best->stats,
-                               best->ctx))) {
+    if (s.has_value() && (!best || better(s->stats, best->stats))) {
       best = std::move(*s);
     }
   }
@@ -133,7 +133,7 @@ std::vector<int> channel_tile_candidates(int extent, bool warp_multiples_only) {
 
 std::optional<LblChoice> best_lbl_tiling(const gpusim::DeviceSpec& dev,
                                          const LayerSpec& spec, DType dt,
-                                         const TileSearchOptions& opt) {
+                                         int beam_width) {
   // Filter tiles: warp multiples for PW/standard (a warp computes one output
   // channel column), power-of-two channel groups for DW (channel count need
   // not be warp-aligned since each channel is independent).
@@ -149,31 +149,17 @@ std::optional<LblChoice> best_lbl_tiling(const gpusim::DeviceSpec& dev,
     }
   }
 
-  const CostModel& model = opt.model ? *opt.model : analytical_cost_model();
-  const double pad_frac = layer_padding_fraction(spec);
-  const auto ctx_for = [&](const ConvTiling& t, std::int64_t l1) {
-    CandidateContext ctx;
-    ctx.l1_fraction = static_cast<double>(l1) / dev.l1_bytes;
-    ctx.padding_fraction = pad_frac;
-    ctx.boundary_fraction = partial_tile_fraction({{spec.out_c, t.tile_f},
-                                                   {spec.out_h(), t.tile_h},
-                                                   {spec.out_w(), t.tile_w}});
-    return ctx;
-  };
-
   return search_candidates<ConvTiling, LblChoice>(
-      dev, cands, opt,
+      cands, beam_width,
       [&](const ConvTiling& t) -> std::optional<LblChoice> {
-        const std::int64_t l1 = lbl_l1(spec, t, dt);
         const auto st = lbl_stats(spec, t, dt);
-        if (!feasible(dev, l1, st)) return std::nullopt;
-        return LblChoice{t, st, ctx_for(t, l1)};
+        if (!feasible(dev, lbl_l1(spec, t, dt), st)) return std::nullopt;
+        return LblChoice{t, st};
       },
-      [&](const ConvTiling& t) -> std::optional<double> {
-        const std::int64_t l1 = lbl_l1(spec, t, dt);
+      [&](const ConvTiling& t) -> std::optional<std::int64_t> {
         const auto st = lbl_stats_approx(spec, t, dt);
-        if (!feasible(dev, l1, st)) return std::nullopt;
-        return model.score(dev, st, ctx_for(t, l1));
+        if (!feasible(dev, lbl_l1(spec, t, dt), st)) return std::nullopt;
+        return st.gma_bytes();
       });
 }
 
@@ -190,7 +176,7 @@ struct FcmCandidate {
 std::optional<FcmChoice> best_fcm_tiling(const gpusim::DeviceSpec& dev,
                                          FcmKind kind, const LayerSpec& first,
                                          const LayerSpec& second, DType dt,
-                                         const TileSearchOptions& opt) {
+                                         int beam_width) {
   const int H = second.out_h();
   const int W = second.out_w();
   const auto h_cands = spatial_tile_candidates(H);
@@ -244,53 +230,23 @@ std::optional<FcmChoice> best_fcm_tiling(const gpusim::DeviceSpec& dev,
       throw Error("best_fcm_tiling: use best_pwdwpw_tiling for triples");
   }
 
-  const CostModel& model = opt.model ? *opt.model : analytical_cost_model();
-  // The DW layer carries the padding in every fused kind that has one.
-  const double pad_first = layer_padding_fraction(first);
-  const double pad_second = layer_padding_fraction(second);
-  const auto ctx_for = [&](const FcmCandidate& c, std::int64_t l1) {
-    CandidateContext ctx;
-    ctx.l1_fraction = static_cast<double>(l1) / dev.l1_bytes;
-    switch (c.kind) {
-      case FcmKind::kDwPw:
-        ctx.padding_fraction = pad_first;
-        ctx.boundary_fraction = partial_tile_fraction(
-            {{H, c.tiling.tile_h}, {W, c.tiling.tile_w}});
-        break;
-      case FcmKind::kPwDw:
-      case FcmKind::kPwDwR:
-        ctx.padding_fraction = pad_second;
-        ctx.boundary_fraction =
-            partial_tile_fraction({{first.out_c, c.tiling.tile_c},
-                                   {H, c.tiling.tile_h},
-                                   {W, c.tiling.tile_w}});
-        break;
-      case FcmKind::kPwPw:
-        ctx.boundary_fraction = partial_tile_fraction(
-            {{H, c.tiling.tile_h}, {W, c.tiling.tile_w}});
-        break;
-      case FcmKind::kPwDwPw: break;  // unreachable
-    }
-    return ctx;
-  };
-
   return search_candidates<FcmCandidate, FcmChoice>(
-      dev, cands, opt,
+      cands, beam_width,
       [&](const FcmCandidate& c) -> std::optional<FcmChoice> {
         const std::int64_t l1 =
             fcm_l1_bytes(c.kind, first, second, c.tiling, dt);
         if (l1 > dev.l1_bytes) return std::nullopt;
         const auto st = fcm_stats(c.kind, first, second, c.tiling, dt);
         if (!feasible(dev, l1, st)) return std::nullopt;
-        return FcmChoice{c.kind, c.tiling, st, ctx_for(c, l1)};
+        return FcmChoice{c.kind, c.tiling, st};
       },
-      [&](const FcmCandidate& c) -> std::optional<double> {
+      [&](const FcmCandidate& c) -> std::optional<std::int64_t> {
         const std::int64_t l1 =
             fcm_l1_bytes(c.kind, first, second, c.tiling, dt);
         if (l1 > dev.l1_bytes) return std::nullopt;
         const auto st = fcm_stats_approx(c.kind, first, second, c.tiling, dt);
         if (!feasible(dev, l1, st)) return std::nullopt;
-        return model.score(dev, st, ctx_for(c, l1));
+        return st.gma_bytes();
       });
 }
 
@@ -298,7 +254,7 @@ std::optional<Fcm3Choice> best_pwdwpw_tiling(const gpusim::DeviceSpec& dev,
                                              const LayerSpec& pw1,
                                              const LayerSpec& dw,
                                              const LayerSpec& pw2, DType dt,
-                                             const TileSearchOptions& opt) {
+                                             int beam_width) {
   const int H = pw2.out_h();
   const int W = pw2.out_w();
   const auto f_cands =
@@ -310,32 +266,21 @@ std::optional<Fcm3Choice> best_pwdwpw_tiling(const gpusim::DeviceSpec& dev,
     }
   }
 
-  const CostModel& model = opt.model ? *opt.model : analytical_cost_model();
-  const double pad_frac = layer_padding_fraction(dw);
-  const auto ctx_for = [&](const FcmTiling& t, std::int64_t l1) {
-    CandidateContext ctx;
-    ctx.l1_fraction = static_cast<double>(l1) / dev.l1_bytes;
-    ctx.padding_fraction = pad_frac;
-    ctx.boundary_fraction =
-        partial_tile_fraction({{H, t.tile_h}, {W, t.tile_w}});
-    return ctx;
-  };
-
   return search_candidates<FcmTiling, Fcm3Choice>(
-      dev, cands, opt,
+      cands, beam_width,
       [&](const FcmTiling& t) -> std::optional<Fcm3Choice> {
         const std::int64_t l1 = pwdwpw_l1_bytes(pw1, dw, pw2, t, dt);
         if (l1 > dev.l1_bytes) return std::nullopt;
         const auto st = pwdwpw_stats(pw1, dw, pw2, t, dt);
         if (!feasible(dev, l1, st)) return std::nullopt;
-        return Fcm3Choice{t, st, ctx_for(t, l1)};
+        return Fcm3Choice{t, st};
       },
-      [&](const FcmTiling& t) -> std::optional<double> {
+      [&](const FcmTiling& t) -> std::optional<std::int64_t> {
         const std::int64_t l1 = pwdwpw_l1_bytes(pw1, dw, pw2, t, dt);
         if (l1 > dev.l1_bytes) return std::nullopt;
         const auto st = pwdwpw_stats_approx(pw1, dw, pw2, t, dt);
         if (!feasible(dev, l1, st)) return std::nullopt;
-        return model.score(dev, st, ctx_for(t, l1));
+        return st.gma_bytes();
       });
 }
 

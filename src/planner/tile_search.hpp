@@ -11,42 +11,35 @@
 // warp multiples (the paper's warp-size restriction), with the layer's full
 // extent always included as a candidate.
 //
-// Two search modes (TileSearchOptions):
+// The winner is the feasible candidate with the fewest GMA bytes, ties going
+// to fewer blocks. Two search modes (`beam_width`):
 //   * Exhaustive (beam_width == 0, the default): every candidate is scored
 //     with the exact operational stats — the paper's search.
 //   * Beam (beam_width > 0): every candidate first passes the exact O(1)
-//     feasibility checks and is ranked by the cost model over O(1)
-//     closed-form surrogate stats (lbl_stats_approx & co); only the top
-//     `beam_width` survivors are evaluated exactly, and the winner is chosen
-//     among those by the model. Deterministic for any worker count: the
-//     surrogate ranking is (score, enumeration index).
+//     feasibility checks and is ranked by the GMA bytes of O(1) closed-form
+//     surrogate stats (lbl_stats_approx & co); only the top `beam_width`
+//     survivors are evaluated exactly, and the winner is chosen among those.
+//     Deterministic for any worker count: the surrogate ranking is
+//     (surrogate GMA bytes, enumeration index).
 // candidates_evaluated() counts exact evaluations process-wide, so benches
 // and tests can assert how much work the beam saves.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "gpusim/device_spec.hpp"
 #include "gpusim/kernel_stats.hpp"
 #include "kernels/tiling.hpp"
 #include "layers/layer_spec.hpp"
-#include "planner/cost_model_iface.hpp"
 
 namespace fcm::planner {
 
-/// How a tile search ranks and prunes candidates. The null model means the
-/// analytical one (GMA bytes), under which beam_width == 0 reproduces the
-/// historical exhaustive search bit-for-bit.
-struct TileSearchOptions {
-  const CostModel* model = nullptr;
-  int beam_width = 0;
-};
-
-/// A tiling choice with its predicted stats and featurizer context.
+/// A tiling choice with its predicted stats.
 struct LblChoice {
   ConvTiling tiling;
   gpusim::KernelStats stats;
-  CandidateContext ctx;
 };
 
 /// A fused-module choice with its predicted stats. `kind` distinguishes the
@@ -55,36 +48,34 @@ struct FcmChoice {
   FcmKind kind = FcmKind::kDwPw;
   FcmTiling tiling;
   gpusim::KernelStats stats;
-  CandidateContext ctx;
 };
 
-/// Minimum-cost feasible LBL tiling for one layer; nullopt when no candidate
+/// Minimum-GMA feasible LBL tiling for one layer; nullopt when no candidate
 /// satisfies the constraints on `dev`.
 std::optional<LblChoice> best_lbl_tiling(const gpusim::DeviceSpec& dev,
                                          const LayerSpec& spec, DType dt,
-                                         const TileSearchOptions& opt = {});
+                                         int beam_width = 0);
 
-/// Minimum-cost feasible fused tiling for a layer pair of base kind `kind`
+/// Minimum-GMA feasible fused tiling for a layer pair of base kind `kind`
 /// (pass kPwDw for a PW→DW pair: both the redundancy-free and the _R variant
 /// are explored and the winner's actual kind is returned).
 std::optional<FcmChoice> best_fcm_tiling(const gpusim::DeviceSpec& dev,
                                          FcmKind kind, const LayerSpec& first,
                                          const LayerSpec& second, DType dt,
-                                         const TileSearchOptions& opt = {});
+                                         int beam_width = 0);
 
 /// A PWDWPW triple-module choice (library extension).
 struct Fcm3Choice {
   FcmTiling tiling;
   gpusim::KernelStats stats;
-  CandidateContext ctx;
 };
 
-/// Minimum-cost feasible tiling for fusing a whole inverted-residual triple.
+/// Minimum-GMA feasible tiling for fusing a whole inverted-residual triple.
 std::optional<Fcm3Choice> best_pwdwpw_tiling(const gpusim::DeviceSpec& dev,
                                              const LayerSpec& pw1,
                                              const LayerSpec& dw,
                                              const LayerSpec& pw2, DType dt,
-                                             const TileSearchOptions& opt = {});
+                                             int beam_width = 0);
 
 /// Candidate generators, exposed for tests and the ablation benches.
 std::vector<int> spatial_tile_candidates(int extent);

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "autotune/features.hpp"
 #include "common/random.hpp"
 #include "gpusim/roofline.hpp"
 #include "models/model_zoo.hpp"
@@ -46,37 +45,14 @@ InferenceEngine::InferenceEngine(gpusim::DeviceSpec dev, EngineOptions opt)
   m_.predicted_sim_s = &reg.gauge_family(
       "fcm_predicted_sim_seconds_total",
       "Planner-predicted simulated GPU seconds (roofline estimate over the "
-      "executed plan's steps), summed over requests — compare against "
-      "fcm_executed_sim_seconds_total to calibrate the cost model",
+      "executed plan's steps, times the batch), summed over requests — "
+      "compare against fcm_executed_sim_seconds_total",
       {"model", "dtype"});
   m_.admission_cost_fallback = &reg.counter_family(
       "fcm_admission_cost_fallback_total",
       "submit_async admissions priced at cost_s = 0 because predict_cost_s "
       "threw (the request still executes and surfaces its error on get(); "
       "load_seconds under-counts it)").get();
-
-  if (opt_.feature_log) {
-    // Cold-plan seam of the autotuning loop: every miss that actually ran
-    // the planner logs what was chosen and predicted (executed stays 0 —
-    // plan records carry no execution target).
-    cache_.set_plan_observer([this](const gpusim::DeviceSpec& dev,
-                                    const ModelGraph& model, const PlanKey& key,
-                                    const planner::Plan& plan,
-                                    double /*plan_seconds*/) {
-      autotune::FeatureRecord rec;
-      rec.source = "plan";
-      rec.model = key.model;
-      rec.device = dev.name;
-      rec.dtype = key.dtype;
-      rec.batch = 1;
-      for (const planner::PlanStep& step : plan.steps) {
-        rec.predicted_s += gpusim::estimate_time(dev, step.stats).total_s;
-      }
-      rec.executed_s = 0.0;
-      rec.features = autotune::featurize_plan(dev, model, plan);
-      opt_.feature_log->record(std::move(rec));
-    });
-  }
 }
 
 InferenceEngine::~InferenceEngine() {
@@ -178,45 +154,21 @@ ServeResponse InferenceEngine::execute_request(const ServeRequest& req) {
   resp.gma_bytes = report.total_gma_bytes();
   resp.latency_s = clock_->now_s() - t0;
 
-  if (obs::enabled() || opt_.feature_log) {
-    // Predicted-vs-executed sim time, the feed for the calibrated cost
-    // model: the planner's per-step roofline estimate summed over the
-    // executed plan against what the batch run actually simulated.
+  if (obs::enabled()) {
+    // Predicted-vs-executed sim time: the planner's per-step roofline
+    // estimate summed over the executed plan, once per batch item, against
+    // what the batch run actually simulated (cross-item weight reuse in L2
+    // makes the executed figure the smaller one).
     double predicted_item_s = 0.0;
     for (const planner::PlanStep& step : plan->steps) {
       predicted_item_s += gpusim::estimate_time(dev_, step.stats).total_s;
     }
-    if (obs::enabled()) {
-      const std::string dtype = dtype_name(req.dtype);
-      m_.predicted_sim_s->with({req.model, dtype}).add(predicted_item_s);
-      m_.executed_sim_s->with({req.model, dtype}).add(resp.sim_time_s);
-    }
-    record_features(r->model(), *plan, req.dtype, req.batch(),
-                    predicted_item_s, resp.sim_time_s);
+    const std::string dtype = dtype_name(req.dtype);
+    m_.predicted_sim_s->with({req.model, dtype})
+        .add(predicted_item_s * req.batch());
+    m_.executed_sim_s->with({req.model, dtype}).add(resp.sim_time_s);
   }
   return resp;
-}
-
-void InferenceEngine::record_features(const ModelGraph& graph,
-                                      const planner::Plan& plan, DType dtype,
-                                      int batch, double predicted_item_s,
-                                      double executed_s) {
-  if (!opt_.feature_log) return;
-  autotune::FeatureRecord rec;
-  rec.source = "execute";
-  rec.model = plan.model_name;
-  rec.device = dev_.name;
-  rec.dtype = dtype;
-  rec.batch = batch;
-  // Features and prediction scale by batch (the executor repeats the plan
-  // per item), so the target stays comparable across batch sizes; what a
-  // batch run saves through cross-item reuse lands in `executed_s` — the
-  // very signal the fitted weights learn to correct for.
-  rec.predicted_s = predicted_item_s * batch;
-  rec.executed_s = executed_s;
-  rec.features = autotune::featurize_plan(dev_, graph, plan);
-  for (double& f : rec.features) f *= static_cast<double>(batch);
-  opt_.feature_log->record(std::move(rec));
 }
 
 InferenceEngine::DryCost InferenceEngine::dry_cost_for(const std::string& model,
@@ -271,14 +223,6 @@ ServeResponse InferenceEngine::execute_dry(const ServeRequest& req) {
     const std::string dtype = dtype_name(req.dtype);
     m_.predicted_sim_s->with({req.model, dtype}).add(resp.sim_time_s);
     m_.executed_sim_s->with({req.model, dtype}).add(resp.sim_time_s);
-  }
-  if (opt_.feature_log) {
-    // Dry replays still produce training rows (fcmsim replay --feature-log):
-    // executed is the roofline estimate itself, so they anchor the fit at
-    // predicted == executed rather than teach it a correction.
-    record_features(models::model_by_name(req.model),
-                    *plan_for(req.model, req.dtype), req.dtype, req.dry_batch,
-                    cost.per_item_s, resp.sim_time_s);
   }
   return resp;
 }

@@ -39,7 +39,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "autotune/feature_log.hpp"
 #include "common/clock.hpp"
 #include "common/thread_annotations.hpp"
 #include "runtime/executor.hpp"
@@ -89,12 +88,6 @@ struct EngineOptions {
   /// Shard index for metric labels and trace lanes; a ServingCluster numbers
   /// its shards, a standalone engine stays 0.
   int shard = 0;
-  /// Non-null: the autotuning feature sink. Every executed request appends
-  /// an "execute" record (plan features × batch, predicted vs executed sim
-  /// seconds) and every cold plan-cache miss that ran the planner appends a
-  /// "plan" record. The owner serialises the collector to a feature-log file
-  /// (fcmserve/fcmsim --feature-log) for fcmtune to fit on.
-  std::shared_ptr<autotune::FeatureCollector> feature_log;
 };
 
 class InferenceEngine {
@@ -275,12 +268,6 @@ class InferenceEngine {
   /// (once per model per engine, so a hot model cannot flood stderr).
   Mutex warn_mu_;
   std::unordered_set<std::string> warned_models_ GUARDED_BY(warn_mu_);
-
-  /// Append the (features, predicted, executed) record for one executed
-  /// request to opt_.feature_log (no-op when null).
-  void record_features(const ModelGraph& graph,
-                       const planner::Plan& plan, DType dtype, int batch,
-                       double predicted_item_s, double executed_s);
 
   /// Lazily-built runner pool keyed on model name + quant override. A runner
   /// under construction is represented by a pending slot other threads wait

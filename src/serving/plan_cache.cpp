@@ -90,9 +90,8 @@ std::string PlanKey::slug() const {
   os << sanitize(model) << "__" << sanitize(device) << "__"
      << dtype_name(dtype) << "__"
      << (options.enable_triple ? "triple" : "pair");
-  // Non-default planner options append suffixes so the historical file names
-  // stay valid for default-option plans.
-  if (options.cost_model == planner::CostModelKind::kCalibrated) os << "__cal";
+  // A non-default beam appends a suffix so the historical file names stay
+  // valid for default-option plans.
   if (options.beam_width > 0) os << "__beam" << options.beam_width;
   return os.str();
 }
@@ -102,7 +101,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
   hash_combine(h, std::hash<std::string>{}(k.device));
   hash_combine(h, static_cast<std::size_t>(k.dtype));
   hash_combine(h, static_cast<std::size_t>(k.options.enable_triple));
-  hash_combine(h, static_cast<std::size_t>(k.options.cost_model));
   hash_combine(h, static_cast<std::size_t>(k.options.beam_width));
   return h;
 }
@@ -239,24 +237,20 @@ std::shared_ptr<const planner::Plan> PlanCache::produce(
   }
 
   PlanFn fn;
-  PlanObserver observer;
   {
     MutexLock lk(mu_);
     fn = plan_fn_;
-    observer = plan_observer_;
   }
   std::shared_ptr<const planner::Plan> plan;
   try {
     const SteadyTime t0 = steady_now();
     plan = std::make_shared<const planner::Plan>(fn(dev, model, dt, key.options));
-    const double plan_seconds = seconds_since(t0);
     if (obs::enabled()) {
       // Planning is host compute, so it is timed on the real clock even when
       // the serving stack runs on a ManualClock.
       m_.plan_time->with({key.model, dtype_name(key.dtype)})
-          .observe(plan_seconds);
+          .observe(seconds_since(t0));
     }
-    if (observer) observer(dev, model, key, *plan, plan_seconds);
   } catch (...) {
     if (lock_owner) {
       std::error_code ec;
@@ -392,11 +386,6 @@ void PlanCache::set_plan_fn(PlanFn fn) {
   FCM_CHECK(static_cast<bool>(fn), "PlanCache::set_plan_fn: empty function");
   MutexLock lk(mu_);
   plan_fn_ = std::move(fn);
-}
-
-void PlanCache::set_plan_observer(PlanObserver obs) {
-  MutexLock lk(mu_);
-  plan_observer_ = std::move(obs);
 }
 
 }  // namespace fcm::serving

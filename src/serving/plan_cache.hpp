@@ -107,16 +107,6 @@ class PlanCache {
   /// race with in-flight get_or_plan calls.
   void set_plan_fn(PlanFn fn) EXCLUDES(mu_);
 
-  /// Called after every *actual* planner run (cold misses that reached the
-  /// planner; in-memory and disk hits excluded) with the wall seconds the
-  /// run took. The autotune feature log hangs off this seam. Runs on the
-  /// planning thread, outside the cache lock; must not call back into the
-  /// cache. Pass nullptr to detach.
-  using PlanObserver = std::function<void(
-      const gpusim::DeviceSpec&, const ModelGraph&, const PlanKey&,
-      const planner::Plan&, double plan_seconds)>;
-  void set_plan_observer(PlanObserver obs) EXCLUDES(mu_);
-
  private:
   struct Entry {
     PlanKey key;
@@ -168,7 +158,6 @@ class PlanCache {
 
   mutable Mutex mu_;
   PlanFn plan_fn_ GUARDED_BY(mu_);
-  PlanObserver plan_observer_ GUARDED_BY(mu_);
   std::list<Entry> lru_ GUARDED_BY(mu_);  // front = most recently used
   std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash> map_
       GUARDED_BY(mu_);

@@ -9,22 +9,6 @@
 
 namespace fcm::cli {
 
-std::uint64_t parse_u64_or_usage_exit(const std::string& s, std::uint64_t max,
-                                      void (*usage)()) {
-  try {
-    if (!s.empty() && s[0] != '-') {  // stoull wraps negatives silently
-      std::size_t used = 0;
-      const std::uint64_t v = std::stoull(s, &used);
-      if (used == s.size() && v <= max) return v;
-    }
-  } catch (const std::exception&) {
-  }
-  std::cerr << "bad numeric argument '" << s << "' (expected 0.." << max
-            << ")\n";
-  usage();
-  std::exit(2);
-}
-
 std::string Args::next(const std::string& flag) {
   if (i + 1 >= argc) fail(flag + " needs a value");
   return argv[++i];
@@ -44,7 +28,17 @@ double Args::next_double(const std::string& flag, double max) {
 }
 
 std::uint64_t Args::next_u64(const std::string& flag, std::uint64_t max) {
-  return parse_u64_or_usage_exit(next(flag), max, usage);
+  const std::string s = next(flag);
+  try {
+    if (!s.empty() && s[0] != '-') {  // stoull wraps negatives silently
+      std::size_t used = 0;
+      const std::uint64_t v = std::stoull(s, &used);
+      if (used == s.size() && v <= max) return v;
+    }
+  } catch (const std::exception&) {
+  }
+  fail("bad numeric value '" + s + "' for " + flag + " (expected 0.." +
+       std::to_string(max) + ")");
 }
 
 void Args::fail(const std::string& msg) const {
@@ -140,8 +134,6 @@ bool ClusterFlags::parse(Args& args) {
     metrics_out = args.next(arg);
   } else if (arg == "--trace-out") {
     trace_out = args.next(arg);
-  } else if (arg == "--feature-log") {
-    feature_log_path = args.next(arg);
   } else {
     return false;
   }
@@ -193,10 +185,6 @@ void ClusterFlags::wire(serving::EngineOptions& opt) {
     tracer = std::make_shared<obs::Tracer>();
     opt.tracer = tracer;
   }
-  if (!feature_log_path.empty()) {
-    features = std::make_shared<autotune::FeatureCollector>();
-    opt.feature_log = features;
-  }
 }
 
 serving::ClusterOptions ClusterFlags::cluster_options(
@@ -209,14 +197,6 @@ serving::ClusterOptions ClusterFlags::cluster_options(
   copt.autoscale.scale_down_load_s = scale_down_s;
   copt.autoscale.cooldown_s = scale_cooldown_s;
   return copt;
-}
-
-void ClusterFlags::write_feature_log() const {
-  if (!features) return;
-  const autotune::FeatureLog snap = features->snapshot();
-  autotune::save_feature_log_file(snap, feature_log_path);
-  std::cout << "feature log: " << snap.records.size() << " records -> "
-            << feature_log_path << "\n";
 }
 
 bool ClusterFlags::write_outputs() const {
@@ -233,7 +213,6 @@ bool ClusterFlags::write_outputs() const {
     }
     std::cout << "\n";
   }
-  write_feature_log();
   if (!metrics_out.empty()) {
     if (!dump_metrics(metrics_out)) return false;
     std::cout << "metrics: "

@@ -9,19 +9,11 @@
 #include <string>
 #include <vector>
 
-#include "autotune/feature_log.hpp"
 #include "gpusim/device_spec.hpp"
 #include "obs/trace.hpp"
 #include "serving/cluster.hpp"
 
 namespace fcm::cli {
-
-/// Parse a non-negative integer CLI value in [0, max]. Malformed or
-/// out-of-range input is a usage error: print a note + the tool's usage and
-/// exit 2 (std::stoull alone would escape main as std::invalid_argument, and
-/// silent narrowing would mangle oversized values).
-std::uint64_t parse_u64_or_usage_exit(const std::string& s, std::uint64_t max,
-                                      void (*usage)());
 
 /// Cursor over one tool's argv; `usage` prints that tool's help.
 struct Args {
@@ -32,7 +24,10 @@ struct Args {
 
   /// The value after `flag` (advances the cursor onto it).
   std::string next(const std::string& flag);
-  /// next() as a number in [0, max].
+  /// next() as a number in [0, max]. Malformed or out-of-range input is a
+  /// usage error (std::stoull alone would escape main as
+  /// std::invalid_argument, and silent narrowing would mangle oversized
+  /// values).
   double next_double(const std::string& flag, double max);
   std::uint64_t next_u64(const std::string& flag, std::uint64_t max);
 
@@ -61,7 +56,7 @@ std::vector<std::string> split_csv(const std::string& csv);
 /// The flags fcmserve and `fcmsim replay` share: --devices --router
 /// --discipline --queue-depth --coalesce --coalesce-wait-us --sim-dilation
 /// --autoscale-max --scale-up-s --scale-down-s --scale-cooldown-s
-/// --metrics-out --trace-out --feature-log. Each tool starts from its own
+/// --metrics-out --trace-out. Each tool starts from its own
 /// defaults (the member initialisers are fcmserve's) and keeps its other
 /// flags, --threads and --seed included, to itself.
 struct ClusterFlags {
@@ -76,15 +71,14 @@ struct ClusterFlags {
   double sim_dilation = 0.0;
   std::size_t autoscale_max = 0;
   double scale_up_s = 0.05, scale_down_s = 0.01, scale_cooldown_s = 0.25;
-  std::string metrics_out, trace_out, feature_log_path;
+  std::string metrics_out, trace_out;
 
   /// Which flags were given explicitly (the cluster-only rules need it).
   bool devices_set = false, router_set = false, autoscale_set = false;
   /// split_csv(devices_csv), set by validate().
   std::vector<std::string> device_names;
-  /// Created by wire() when --trace-out / --feature-log ask for them.
+  /// Created by wire() when --trace-out asks for it.
   std::shared_ptr<obs::Tracer> tracer;
-  std::shared_ptr<autotune::FeatureCollector> features;
 
   /// Consume the flag under the cursor, and its value, when it is one of
   /// the shared flags; false leaves the cursor for the tool's own flags.
@@ -95,18 +89,16 @@ struct ClusterFlags {
   /// The shard devices (fcm::Error for an unknown name).
   std::vector<gpusim::DeviceSpec> devices() const;
   /// Apply the shared engine knobs (admission queue, coalescing, sim
-  /// dilation) to `opt` and install one tracer / feature collector, which a
-  /// cluster then shares across its shards.
+  /// dilation) to `opt` and install one tracer, which a cluster then shares
+  /// across its shards.
   void wire(serving::EngineOptions& opt);
   /// `engine` behind the chosen router and autoscaler.
   serving::ClusterOptions cluster_options(
       const serving::EngineOptions& engine) const;
 
-  /// Write the --feature-log dataset and report it on stdout.
-  void write_feature_log() const;
-  /// End of run: the --trace-out file, the feature log, then the
-  /// --metrics-out dump, each reported on stdout. False (message on stderr)
-  /// when a file cannot be written.
+  /// End of run: the --trace-out file, then the --metrics-out dump, each
+  /// reported on stdout. False (message on stderr) when a file cannot be
+  /// written.
   bool write_outputs() const;
 };
 

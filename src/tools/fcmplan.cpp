@@ -17,7 +17,6 @@
 #include <sstream>
 #include <string>
 
-#include "autotune/fit.hpp"
 #include "baselines/tvm_like.hpp"
 #include "common/thread_pool.hpp"
 #include "tools/cli_util.hpp"
@@ -38,12 +37,6 @@ void usage() {
       "  --device <GTX|RTX|Orin>        default RTX\n"
       "  --dtype  <fp32|int8>           default fp32\n"
       "  --triple                       enable PWDWPW triple fusion\n"
-      "  --cost-model <analytical|calibrated>\n"
-      "                                 candidate-ranking model (default\n"
-      "                                 analytical; calibrated needs\n"
-      "                                 --cost-model-file)\n"
-      "  --cost-model-file <file>       fcmtune-fitted weights to install\n"
-      "                                 (implies --cost-model calibrated)\n"
       "  --beam-width <n>               beam tile search: exactly evaluate\n"
       "                                 only the top n surrogate-ranked\n"
       "                                 candidates (0 = exhaustive)\n"
@@ -60,50 +53,26 @@ int main(int argc, char** argv) {
   // dtype stays empty unless the user passes --dtype (empty == fp32), so the
   // import path can tell an explicit request apart from the default.
   std::string model_name, device = "RTX", dtype, export_path, import_path;
-  std::string cost_model = "analytical", cost_model_file;
   unsigned threads = 0, beam_width = 0;
   bool triple = false, compare = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--model") model_name = next();
-    else if (arg == "--device") device = next();
-    else if (arg == "--dtype") dtype = next();
-    else if (arg == "--export") export_path = next();
-    else if (arg == "--import") import_path = next();
+  cli::Args args{argc, argv, 1, usage};
+  for (; args.i < argc; ++args.i) {
+    const std::string arg = argv[args.i];
+    if (arg == "--model") model_name = args.next(arg);
+    else if (arg == "--device") device = args.next(arg);
+    else if (arg == "--dtype") dtype = args.next(arg);
+    else if (arg == "--export") export_path = args.next(arg);
+    else if (arg == "--import") import_path = args.next(arg);
     else if (arg == "--threads") {
-      threads = static_cast<unsigned>(
-          cli::parse_u64_or_usage_exit(next(), 1024, usage));
-    }
-    else if (arg == "--cost-model") cost_model = next();
-    else if (arg == "--cost-model-file") cost_model_file = next();
-    else if (arg == "--beam-width") {
-      beam_width = static_cast<unsigned>(
-          cli::parse_u64_or_usage_exit(next(), 1u << 20, usage));
-    }
-    else if (arg == "--triple") triple = true;
+      threads = static_cast<unsigned>(args.next_u64(arg, 1024));
+    } else if (arg == "--beam-width") {
+      beam_width = static_cast<unsigned>(args.next_u64(arg, 1u << 20));
+    } else if (arg == "--triple") triple = true;
     else if (arg == "--compare") compare = true;
-    else {
-      usage();
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
+    else args.unknown();
   }
   if (model_name.empty() && import_path.empty()) {
-    usage();
-    return 2;
-  }
-  if (!cost_model_file.empty()) cost_model = "calibrated";
-  if (cost_model != "analytical" && cost_model != "calibrated") {
-    std::cerr << "bad --cost-model '" << cost_model
-              << "' (expected analytical or calibrated)\n";
-    usage();
-    return 2;
+    args.fail("--model or --import is required");
   }
 
   try {
@@ -145,21 +114,14 @@ int main(int argc, char** argv) {
                 << dev.name << ")\n";
     } else {
       model = models::model_by_name(model_name);
-      if (!cost_model_file.empty()) {
-        planner::set_calibrated_cost_model(autotune::make_calibrated_cost_model(
-            autotune::load_cost_model_file(cost_model_file)));
-      }
       planner::PlanOptions opt;
       opt.enable_triple = triple;
-      opt.cost_model = cost_model == "calibrated"
-                           ? planner::CostModelKind::kCalibrated
-                           : planner::CostModelKind::kAnalytical;
       opt.beam_width = static_cast<int>(beam_width);
       planner::reset_candidates_evaluated();
       plan = planner::plan_model(dev, model, dt, opt);
       std::cout << "tile candidates exactly evaluated: "
-                << planner::candidates_evaluated() << " (cost model "
-                << cost_model << ", beam width " << beam_width << ")\n";
+                << planner::candidates_evaluated() << " (beam width "
+                << beam_width << ")\n";
     }
 
     std::cout << plan.describe();

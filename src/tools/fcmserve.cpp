@@ -22,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "autotune/fit.hpp"
 #include "common/clock.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -90,19 +89,9 @@ void usage() {
       "  --cache-dir <dir>            persistent plan-cache directory\n"
       "  --cache-capacity <n>         plan-cache LRU bound, default 32\n"
       "  --triple                     enable PWDWPW triple fusion in plans\n"
-      "  --cost-model <analytical|calibrated>\n"
-      "                               planner candidate-ranking model,\n"
-      "                               default analytical (calibrated needs\n"
-      "                               --cost-model-file)\n"
-      "  --cost-model-file <file>     fcmtune-fitted weights to install\n"
-      "                               (implies --cost-model calibrated)\n"
       "  --beam-width <n>             beam tile search: exactly evaluate\n"
       "                               only the top n surrogate-ranked\n"
       "                               candidates, default 0 (exhaustive)\n"
-      "  --feature-log <file>         append autotuning feature records\n"
-      "                               (cold plans + executed requests) and\n"
-      "                               write the JSONL dataset on exit —\n"
-      "                               fcmtune fits on it\n"
       "  --seed <n>                   weight seed, default 2024\n"
       "  --plan-only                  cold/warm planning table only (no\n"
       "                               functional execution of requests)\n"
@@ -180,7 +169,6 @@ int main(int argc, char** argv) {
   double deadline_ms = 0.0;
   std::string trace_in;
   std::int64_t metrics_interval_ms = 0;
-  std::string cost_model = "analytical", cost_model_file;
   unsigned beam_width = 0;
 
   cli::Args args{argc, argv, 1, usage};
@@ -216,17 +204,14 @@ int main(int argc, char** argv) {
       seed = args.next_u64(arg, std::numeric_limits<std::uint64_t>::max());
     }
     else if (arg == "--trace-in") trace_in = args.next(arg);
-    else if (arg == "--cost-model") cost_model = args.next(arg);
-    else if (arg == "--cost-model-file") cost_model_file = args.next(arg);
     else if (arg == "--beam-width") {
       beam_width = static_cast<unsigned>(args.next_u64(arg, 1u << 20));
     }
     else if (arg == "--metrics-interval-ms") {
-      const std::string v = args.next(arg);
-      metrics_interval_ms = static_cast<std::int64_t>(
-          cli::parse_u64_or_usage_exit(v, 1u << 30, usage));
+      metrics_interval_ms =
+          static_cast<std::int64_t>(args.next_u64(arg, 1u << 30));
       if (metrics_interval_ms < 1) {
-        args.bad_value(arg, v, "an integer >= 1");
+        args.bad_value(arg, args.argv[args.i], "an integer >= 1");
       }
     }
     else if (arg == "--triple") triple = true;
@@ -241,10 +226,6 @@ int main(int argc, char** argv) {
     // Same no-silent-noop rule: a periodic dump with nowhere to dump would
     // quietly do nothing.
     args.fail("--metrics-interval-ms requires --metrics-out");
-  }
-  if (!cost_model_file.empty()) cost_model = "calibrated";
-  if (cost_model != "analytical" && cost_model != "calibrated") {
-    args.bad_value("--cost-model", cost_model, "analytical or calibrated");
   }
 
   // --trace-in: the replay mix comes from a recorded trace instead of the
@@ -333,26 +314,18 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (!cost_model_file.empty()) {
-      planner::set_calibrated_cost_model(autotune::make_calibrated_cost_model(
-          autotune::load_cost_model_file(cost_model_file)));
-    }
-
     serving::EngineOptions opt;
     opt.plan_cache_capacity = cache_capacity;
     opt.cache_dir = cache_dir;
     opt.seed = seed;
     opt.plan_options.enable_triple = triple;
-    opt.plan_options.cost_model = cost_model == "calibrated"
-                                      ? planner::CostModelKind::kCalibrated
-                                      : planner::CostModelKind::kAnalytical;
     opt.plan_options.beam_width = static_cast<int>(beam_width);
     opt.scheduler.policy = policy;
     // --threads bounds serving concurrency too: the admission queue's
     // request workers, not only the simulator pool.
     opt.queue_workers = threads;
-    // --trace-out spans land on per-shard lanes; the trace file and the
-    // --feature-log dataset are written once the replay drains.
+    // --trace-out spans land on per-shard lanes; the trace file is written
+    // once the replay drains.
     flags.wire(opt);
 
     std::unique_ptr<serving::ServingCluster> cluster;
@@ -421,7 +394,6 @@ int main(int argc, char** argv) {
     }
     if (plan_only) {
       dumper.reset();  // stop the periodic writer before the final dump
-      flags.write_feature_log();  // cold-plan records exist even with no requests
       if (!flags.metrics_out.empty() && !cli::dump_metrics(flags.metrics_out)) {
         return 1;
       }

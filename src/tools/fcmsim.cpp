@@ -89,11 +89,7 @@ void usage() {
       "  --metrics-out <file>         dump the metrics registry on exit\n"
       "                               (Prometheus text, or JSON for .json)\n"
       "  --trace-out <file>           write per-request spans as a Chrome\n"
-      "                               trace_event JSON file\n"
-      "  --feature-log <file>         append autotuning feature records\n"
-      "                               (cold plans + executed requests) and\n"
-      "                               write the JSONL dataset on exit —\n"
-      "                               fcmtune fits on it\n";
+      "                               trace_event JSON file\n";
 }
 
 int run_generate(cli::Args& args) {
@@ -204,8 +200,6 @@ int run_replay(cli::Args& args) {
     // Virtual holds rule out kBlock (a full queue would park the driver the
     // workers wait on); overload sheds load instead, like a real server.
     opt.scheduler.policy = serving::AdmissionPolicy::kReject;
-    // --feature-log: dry replays record predicted == executed anchors,
-    // functional replays record real executed times — both feed fcmtune.
     flags.wire(opt);
     serving::ServingCluster cluster(flags.devices(),
                                     flags.cluster_options(opt));

@@ -486,7 +486,21 @@ TEST(EngineObs, SubmitRecordsSpansAndLatencyHistogram) {
                                "respond"}) {
     EXPECT_TRUE(names.count(expected)) << "missing span: " << expected;
   }
-  // Both requests' executions landed in the per-(model,dtype,batch) family.
+  // A batch-4 request counts its prediction once per item, like the
+  // executed gauge counts the whole batch's simulated seconds.
+  ServeRequest batched = tiny_request(23, 7);
+  for (std::uint64_t seed = 8; seed < 11; ++seed) {
+    batched.batch_f32.push_back(tiny_request(0, seed).batch_f32.front());
+  }
+  ASSERT_TRUE(engine.submit(batched).ok());
+  EXPECT_DOUBLE_EQ(reg.gauge_family("fcm_predicted_sim_seconds_total", "",
+                                    {"model", "dtype"})
+                       .with({"Tiny", "fp32"})
+                       .value(),
+                   engine.predict_cost_s("Tiny", DType::kF32, 6));
+
+  // Both batch-1 requests' executions landed in the per-(model,dtype,batch)
+  // family.
   const obs::HistogramData lat =
       reg.histogram_family("fcm_request_latency_seconds", "",
                            {"model", "dtype", "batch"})

@@ -89,6 +89,35 @@ TEST(PlanCache, KeyDistinguishesModelDeviceDtypeAndOptions) {
   EXPECT_EQ(p->device_name, rtx.name);
 }
 
+TEST(PlanCache, BeamGetsDistinctSlugAndEntry) {
+  planner::PlanOptions plain;
+  planner::PlanOptions beam;
+  beam.beam_width = 8;
+
+  // Default options keep the historical slug, so plan files already on disk
+  // stay valid; a beam suffixes it.
+  const PlanKey k_default{"Mob_v2", "RTX-A4000", DType::kF32, plain};
+  EXPECT_EQ(k_default.slug(), "Mob_v2__RTX-A4000__fp32__pair");
+  const PlanKey k_plain{"A", "GTX-1660", DType::kF32, plain};
+  const PlanKey k_beam{"A", "GTX-1660", DType::kF32, beam};
+  EXPECT_EQ(k_plain.slug().find("__beam"), std::string::npos);
+  EXPECT_NE(k_beam.slug().find("__beam8"), std::string::npos);
+  EXPECT_NE(k_plain.slug(), k_beam.slug());
+
+  // And the cache itself plans once per option set, not once per model.
+  std::atomic<int> calls{0};
+  PlanCache cache(8);
+  cache.set_plan_fn(counting_stub(calls));
+  const auto dev = gpusim::gtx1660();
+  const auto g = named_graph("A");
+  cache.get_or_plan(dev, g, DType::kF32, plain);
+  cache.get_or_plan(dev, g, DType::kF32, beam);
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_EQ(cache.size(), 2u);
+  cache.get_or_plan(dev, g, DType::kF32, beam);  // warm — no replan
+  EXPECT_EQ(calls.load(), 2);
+}
+
 TEST(PlanCache, LruEvictsLeastRecentlyUsed) {
   std::atomic<int> calls{0};
   PlanCache cache(2);
@@ -435,18 +464,22 @@ TEST(InferenceEngine, BatchedSubmitBitIdenticalToPerItemSubmits) {
 
   // Every batch item equals its own single-image submit, bit for bit.
   double sum_single_sim = 0.0;
+  std::int64_t sum_single_gma = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto single = engine.submit(ServeRequest::f32("Tiny", {batch[i]}));
     EXPECT_EQ(max_abs_diff(resp.outputs_f32[i], single.outputs_f32.front()),
               0.0f)
         << "batch item " << i << " diverged from per-item submit";
     sum_single_sim += single.sim_time_s;
+    sum_single_gma += single.gma_bytes;
   }
   // The batch's simulated time tracks the per-item sum but never exceeds it
   // meaningfully: cross-item weight reuse (items 2..n hit L2 for a step's
   // weights) can only shrink the batched profile's DRAM traffic.
   EXPECT_GT(resp.sim_time_s, 0.25 * sum_single_sim);
   EXPECT_LT(resp.sim_time_s, 1.05 * sum_single_sim);
+  // And it does shrink it: batching must move strictly fewer bytes.
+  EXPECT_LT(resp.gma_bytes, sum_single_gma);
 }
 
 TEST(InferenceEngine, I8SubmitParityWithDirectRunner) {
