@@ -203,28 +203,27 @@ int main(int argc, char** argv) {
              "p50 ms", "p95 ms", "accepted", "rejected", "max depth"});
     for (const DType dt : {DType::kF32, DType::kI8}) {
       for (const int batch : {1, 8}) {
-        serving::EngineOptions opt;
-        opt.scheduler.queue_depth = 8;
-        opt.scheduler.policy = serving::AdmissionPolicy::kReject;
-        opt.queue_workers = 1;
-        serving::InferenceEngine engine(gpusim::rtx_a4000(), opt);
+        serving::ClusterOptions opt;
+        opt.engine.scheduler.queue_depth = 8;
+        opt.engine.scheduler.policy = serving::AdmissionPolicy::kReject;
+        opt.engine.queue_workers = 1;
+        serving::ServingCluster cluster({gpusim::rtx_a4000()}, opt);
 
         // Calibrate this cell's service capacity with a short unpaced burst.
-        std::vector<serving::InferenceEngine::Request> calib(
-            6, {"Tiny", 1, dt, batch});
-        const auto base = engine.replay(calib);
+        std::vector<serving::ReplayRequest> calib(6, {"Tiny", 1, dt, batch});
+        const auto base = cluster.replay(calib);
         const double capacity_rps = base.throughput_rps();
 
         for (const double load : {0.5, 1.0, 2.0}) {
           const double offered = load * capacity_rps;
-          std::vector<serving::InferenceEngine::Request> mix;
+          std::vector<serving::ReplayRequest> mix;
           for (int i = 0; i < 24; ++i) {
             mix.push_back({"Tiny",
                            1000 + static_cast<std::uint64_t>(i) *
                                       static_cast<std::uint64_t>(batch),
                            dt, batch});
           }
-          const auto rep = engine.replay(mix, offered);
+          const auto rep = cluster.replay(mix, offered);
           t.add_row({dtype_name(dt), std::to_string(batch), fmt_f(offered, 1),
                      fmt_f(rep.throughput_rps(), 1),
                      fmt_f(rep.throughput_items_per_s(), 1),
@@ -248,18 +247,18 @@ int main(int argc, char** argv) {
       "Serving: coalescing sweep — single-image open-loop traffic (RTX, Tiny, "
       "fp32, 1 queue worker)");
   {
-    auto make_engine = [](int coalesce) {
-      serving::EngineOptions opt;
-      opt.scheduler.queue_depth = 64;
-      opt.scheduler.policy = serving::AdmissionPolicy::kBlock;
-      opt.scheduler.max_coalesce_batch = coalesce;
-      opt.scheduler.coalesce_wait_us = 2000;
-      opt.queue_workers = 1;
-      return std::make_unique<serving::InferenceEngine>(gpusim::rtx_a4000(),
-                                                        opt);
+    auto make_cluster = [](int coalesce) {
+      serving::ClusterOptions opt;
+      opt.engine.scheduler.queue_depth = 64;
+      opt.engine.scheduler.policy = serving::AdmissionPolicy::kBlock;
+      opt.engine.scheduler.max_coalesce_batch = coalesce;
+      opt.engine.scheduler.coalesce_wait_us = 2000;
+      opt.engine.queue_workers = 1;
+      return std::make_unique<serving::ServingCluster>(
+          std::vector<gpusim::DeviceSpec>{gpusim::rtx_a4000()}, opt);
     };
     auto single_image_mix = [](int n) {
-      std::vector<serving::InferenceEngine::Request> mix;
+      std::vector<serving::ReplayRequest> mix;
       for (int i = 0; i < n; ++i) {
         mix.push_back({"Tiny", 7000 + static_cast<std::uint64_t>(i),
                        DType::kF32, 1});
@@ -271,7 +270,7 @@ int main(int argc, char** argv) {
     // constant while only the coalescing budget varies.
     double offered = 0.0;
     {
-      auto probe = make_engine(1);
+      auto probe = make_cluster(1);
       probe->replay(single_image_mix(4));  // warm plan + runner first: the
       // calibration must measure service capacity, not one-off tile search
       offered = 2.0 * probe->replay(single_image_mix(8)).throughput_rps();
@@ -281,9 +280,9 @@ int main(int argc, char** argv) {
     double uncoalesced_dev = 0.0, coalesced8_dev = 0.0;
     std::int64_t coalesced8_batches = 0;
     for (const int coalesce : {1, 4, 8}) {
-      auto engine = make_engine(coalesce);
-      engine->replay(single_image_mix(4));  // warm plan + runner
-      const auto rep = engine->replay(single_image_mix(48), offered);
+      auto cluster = make_cluster(coalesce);
+      cluster->replay(single_image_mix(4));  // warm plan + runner
+      const auto rep = cluster->replay(single_image_mix(48), offered);
       // Simulated device throughput: completed items per simulated second.
       // Coalesced dispatches execute as one batch, so items 2..n reuse each
       // step's weights from L2 and the per-item simulated cost drops.
@@ -424,7 +423,7 @@ int main(int argc, char** argv) {
         cluster.engine(s).submit(
             serving::ServeRequest::f32("Tiny", batch_f32(shape, 1, 7)));
       }
-      std::vector<serving::InferenceEngine::Request> mix;
+      std::vector<serving::ReplayRequest> mix;
       for (int i = 0; i < 48; ++i) {
         mix.push_back({"Tiny", 9000 + static_cast<std::uint64_t>(i),
                        DType::kF32, 1});
@@ -502,7 +501,7 @@ int main(int argc, char** argv) {
     // Alternating best-of-N runs cancel machine drift — the delta isolates
     // the registry bumps and span records on the hot path.
     auto single_image_mix = [](int n) {
-      std::vector<serving::InferenceEngine::Request> mix;
+      std::vector<serving::ReplayRequest> mix;
       for (int i = 0; i < n; ++i) {
         mix.push_back({"Tiny", 11000 + static_cast<std::uint64_t>(i),
                        DType::kF32, 1});
@@ -510,14 +509,14 @@ int main(int argc, char** argv) {
       return mix;
     };
     auto run_once = [&] {
-      serving::EngineOptions opt;
-      opt.scheduler.queue_depth = 64;
-      opt.scheduler.max_coalesce_batch = 4;
-      opt.queue_workers = 2;
-      serving::InferenceEngine engine(gpusim::rtx_a4000(), opt);
-      engine.replay(single_image_mix(8));  // warm plan + runner untimed
+      serving::ClusterOptions opt;
+      opt.engine.scheduler.queue_depth = 64;
+      opt.engine.scheduler.max_coalesce_batch = 4;
+      opt.engine.queue_workers = 2;
+      serving::ServingCluster cluster({gpusim::rtx_a4000()}, opt);
+      cluster.replay(single_image_mix(8));  // warm plan + runner untimed
       const auto t0 = steady_now();
-      engine.replay(single_image_mix(64));
+      cluster.replay(single_image_mix(64));
       return seconds_since(t0);
     };
     const bool obs_was_enabled = obs::enabled();

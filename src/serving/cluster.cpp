@@ -1,12 +1,177 @@
 #include "serving/cluster.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/random.hpp"
+#include "models/model_zoo.hpp"
 
 namespace fcm::serving {
+
+namespace {
+
+/// Materialise one replay request into a concrete ServeRequest of `shape`-d
+/// inputs (item j seeded with input_seed + j, outputs discarded — replay
+/// aggregates metrics, never tensors).
+ServeRequest materialise_request(const ReplayRequest& q, const FmShape& shape) {
+  ServeRequest r;
+  r.model = q.model;
+  r.dtype = q.dtype;
+  r.deadline_s = q.deadline_s;
+  r.discard_outputs = true;  // replay aggregates metrics, never outputs
+  if (q.dry) {
+    r.dry_run = true;
+    r.dry_batch = q.batch;
+    return r;
+  }
+  for (int j = 0; j < q.batch; ++j) {
+    const std::uint64_t seed = q.input_seed + static_cast<std::uint64_t>(j);
+    if (q.dtype == DType::kF32) {
+      TensorF in(shape);
+      fill_uniform(in, seed);
+      r.batch_f32.push_back(std::move(in));
+    } else {
+      TensorI8 in(shape);
+      fill_uniform_i8(in, seed);
+      r.batch_i8.push_back(std::move(in));
+    }
+  }
+  return r;
+}
+
+/// The arrival schedule an offered rate implies: uniform 1/rps spacing
+/// starting at 0 (empty when rps <= 0 — submit all at once).
+std::vector<double> arrivals_at_rate(std::size_t n, double offered_rps) {
+  if (offered_rps <= 0.0) return {};
+  std::vector<double> arrivals(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    arrivals[i] = static_cast<double>(i) / offered_rps;
+  }
+  return arrivals;
+}
+
+/// Fold one replay outcome into the report's per-(dtype × batch) group,
+/// per-model and per-shard stats.
+void accumulate_outcome(ServingReport& report, const ReplayRequest& q,
+                        const ReplayOutcome& outcome,
+                        ShardServingStats& shard) {
+  GroupServingStats& group = group_stats(report, q.dtype, q.batch);
+  if (outcome.status == ServeStatus::kRejected) {
+    ++group.rejected;
+    ++shard.rejected;
+    return;
+  }
+  if (outcome.status == ServeStatus::kExpired) {
+    ++group.expired;
+    ++shard.expired;
+    return;
+  }
+  ++group.requests;
+  group.items += q.batch;
+  group.latency.observe(outcome.latency_s);
+  group.sim_time_s += outcome.sim_time_s;
+
+  ModelServingStats& stats = model_stats(report, q.model);
+  ++stats.requests;
+  stats.items += q.batch;
+  stats.latency.observe(outcome.latency_s);
+  stats.sim_time_s += outcome.sim_time_s;
+  stats.gma_bytes += outcome.gma_bytes;
+
+  ++shard.requests;
+  shard.items += q.batch;
+  shard.latency.observe(outcome.latency_s);
+  shard.sim_time_s += outcome.sim_time_s;
+  shard.gma_bytes += outcome.gma_bytes;
+}
+
+}  // namespace
+
+std::vector<ReplayOutcome> drive_replay_scheduled(
+    const std::vector<ReplayRequest>& mix, const std::vector<double>& arrivals,
+    Clock& clock,
+    const std::function<std::future<ServeResponse>(ServeRequest, std::size_t)>&
+        submit,
+    double* wall_s, const ReplayWait& wait) {
+  FCM_CHECK(arrivals.empty() || arrivals.size() == mix.size(),
+            "replay: arrival schedule must be empty or sized like the mix");
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    FCM_CHECK(arrivals[i] >= arrivals[i - 1],
+              "replay: arrival schedule must be non-decreasing");
+  }
+  // Input shapes are resolved once per distinct model (a mix is typically
+  // thousands of requests over a handful of models); each request's tensors
+  // are generated just before its submission, so replay's resident set is
+  // bounded by the queue depth + in-flight requests, never by mix.size().
+  // Dry requests carry no tensors and skip shape resolution entirely.
+  std::unordered_map<std::string, FmShape> shapes;
+  const FmShape no_shape{};
+  for (const ReplayRequest& q : mix) {
+    FCM_CHECK(q.batch >= 1, "replay: request batch must be >= 1");
+    if (!q.dry && shapes.find(q.model) == shapes.end()) {
+      shapes.emplace(
+          q.model, models::model_by_name(q.model).layers.front().ifm_shape());
+    }
+  }
+
+  // Responses come back output-free (materialise_request sets
+  // discard_outputs), so a resolved-but-unharvested future holds only
+  // scalar stats; the incremental in-order harvest below just keeps the
+  // outcome records current while submission is still running.
+  std::vector<std::future<ServeResponse>> futures(mix.size());
+  std::vector<ReplayOutcome> outcomes(mix.size());
+  std::size_t submitted = 0, harvested = 0;
+  auto harvest = [&](bool drain_all) {
+    while (harvested < submitted) {
+      auto& f = futures[harvested];
+      if (!drain_all &&
+          f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+        break;
+      }
+      const ServeResponse resp = f.get();
+      outcomes[harvested] = ReplayOutcome{resp.status, resp.latency_s,
+                                          resp.sim_time_s, resp.gma_bytes};
+      ++harvested;
+    }
+  };
+  const std::function<bool()> poll = [&] {
+    harvest(false);
+    return harvested == mix.size();
+  };
+
+  const double t0 = clock.now_s();
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    // Generate before the pacing wait: the generation cost overlaps the
+    // idle gap instead of skewing the offered inter-arrival times. The
+    // submit callback runs after it — a routing decision must see the
+    // shard loads of the submission instant, not of one gap earlier.
+    ServeRequest req = materialise_request(
+        mix[i], mix[i].dry ? no_shape : shapes.at(mix[i].model));
+    if (!arrivals.empty()) {
+      // Absolute target off the single origin t0: a submission that runs
+      // late (slow generation, blocked push) never shifts the rest of the
+      // schedule — later requests fire at their own t0 + arrivals[j], and
+      // sleep_until past deadlines returns immediately.
+      const double due = t0 + arrivals[i];
+      if (wait) {
+        wait(due, poll);
+      } else {
+        clock.sleep_until(due);
+      }
+    }
+    futures[i] = submit(std::move(req), i);
+    submitted = i + 1;
+    harvest(false);
+  }
+  if (wait) wait(std::numeric_limits<double>::infinity(), poll);
+  harvest(true);
+  *wall_s = clock.now_s() - t0;
+  return outcomes;
+}
 
 ServingCluster::ServingCluster(std::vector<gpusim::DeviceSpec> devices,
                                ClusterOptions opt)
@@ -214,7 +379,7 @@ std::future<ServeResponse> ServingCluster::submit_async(ServeRequest req) {
 std::future<ServeResponse> ServingCluster::submit_routed(ServeRequest req,
                                                          std::size_t* shard) {
   const RouteTicket ticket = begin_route(req);
-  if (shard != nullptr) *shard = ticket.shard;
+  *shard = ticket.shard;
   std::future<ServeResponse> fut;
   try {
     // submit_async stamps req.cost_s (forcing predict) and enqueues: once
@@ -263,8 +428,8 @@ std::int64_t ServingCluster::scale_downs() const {
 }
 
 ServingCluster::ReplayBracket ServingCluster::begin_replay() {
-  // Bracket every shard's counters the way a single engine's replay
-  // brackets its own: cache/queue deltas and a fresh depth watermark.
+  // Bracket every shard's counters: cache/queue deltas and a fresh depth
+  // watermark.
   const std::size_t n_shards = shards_.size();
   ReplayBracket bracket;
   bracket.cache_before.resize(n_shards);
@@ -281,8 +446,7 @@ ServingCluster::ReplayBracket ServingCluster::begin_replay() {
 }
 
 ServingReport ServingCluster::finish_replay(
-    const ReplayBracket& bracket,
-    const std::vector<InferenceEngine::Request>& mix,
+    const ReplayBracket& bracket, const std::vector<ReplayRequest>& mix,
     const std::vector<ReplayOutcome>& outcomes,
     const std::vector<std::size_t>& shard_of, double wall_s) {
   const std::size_t n_shards = shards_.size();
@@ -320,20 +484,19 @@ ServingReport ServingCluster::finish_replay(
   }
 
   for (std::size_t i = 0; i < mix.size(); ++i) {
-    accumulate_outcome(report, mix[i], outcomes[i],
-                       &report.shards[shard_of[i]]);
+    accumulate_outcome(report, mix[i], outcomes[i], report.shards[shard_of[i]]);
   }
   return report;
 }
 
-ServingReport ServingCluster::replay(
-    const std::vector<InferenceEngine::Request>& mix, double offered_rps) {
+ServingReport ServingCluster::replay(const std::vector<ReplayRequest>& mix,
+                                     double offered_rps) {
   return replay_scheduled(mix, arrivals_at_rate(mix.size(), offered_rps));
 }
 
 ServingReport ServingCluster::replay_scheduled(
-    const std::vector<InferenceEngine::Request>& mix,
-    const std::vector<double>& arrivals) {
+    const std::vector<ReplayRequest>& mix, const std::vector<double>& arrivals,
+    const ReplayWait& wait) {
   const ReplayBracket bracket = begin_replay();
   std::vector<std::size_t> shard_of(mix.size(), 0);
   double wall_s = 0.0;
@@ -342,7 +505,7 @@ ServingReport ServingCluster::replay_scheduled(
       [&](ServeRequest req, std::size_t i) {
         return submit_routed(std::move(req), &shard_of[i]);
       },
-      &wall_s);
+      &wall_s, wait);
   return finish_replay(bracket, mix, outcomes, shard_of, wall_s);
 }
 

@@ -15,10 +15,12 @@
 // shared Clock into all shards, so deadlines, pacing and latency live on a
 // single timeline and a ManualClock makes whole-cluster tests
 // deterministic. replay(mix, offered_rps) paces the mix through the router
-// on that clock and aggregates a ServingReport whose per-model and
-// per-(dtype × batch) sections match the single-engine shape, plus a
-// per-shard breakdown (device, routed/completed counts, latency
-// percentiles, queue counter deltas). Routing never touches numerics: a
+// on that clock and aggregates a ServingReport with per-model and
+// per-(dtype × batch) sections plus a per-shard breakdown (device,
+// routed/completed counts, latency percentiles, queue counter deltas). It is
+// the repo's one replay path: a single-device replay is a one-shard cluster,
+// and the virtual-time simulator (workload::sim_replay) runs the same
+// driver with its own waits. Routing never touches numerics: a
 // request's outputs are bit-identical to submitting it to any shard of the
 // same device spec and seed directly — test_cluster asserts a homogeneous
 // cluster reproduces a single engine bit for bit.
@@ -48,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -96,6 +99,55 @@ struct ClusterOptions {
   AutoscaleOptions autoscale;
 };
 
+/// One request in a replayed mix; batch item j's input tensor is generated
+/// deterministically from `input_seed + j`.
+struct ReplayRequest {
+  std::string model;
+  std::uint64_t input_seed = 1;
+  DType dtype = DType::kF32;
+  int batch = 1;
+  /// Optional queueing deadline, seconds from enqueue (0 = none).
+  double deadline_s = 0.0;
+  /// Timing-only replay: the driver builds a tensor-less dry-run
+  /// ServeRequest instead of generating inputs (the workload simulator's
+  /// mode; sim stats come from the plan's roofline estimate).
+  bool dry = false;
+};
+
+/// Scalar outcome of one replayed request (replay responses carry no
+/// outputs, so this is all a report needs).
+struct ReplayOutcome {
+  ServeStatus status = ServeStatus::kOk;
+  double latency_s = 0.0;
+  double sim_time_s = 0.0;
+  std::int64_t gma_bytes = 0;
+};
+
+/// How a replay driver waits. It is called with each submission's absolute
+/// arrival instant before that submission (when the mix has an arrival
+/// schedule), and with +inf once everything is submitted. `poll` harvests
+/// the responses resolved so far and returns true once the whole mix is in.
+/// An empty wait sleeps on the clock and leaves the drain to blocking gets;
+/// the virtual-time simulator steps its ManualClock instead.
+using ReplayWait =
+    std::function<void(double due_s, const std::function<bool()>& poll)>;
+
+/// The replay driver: materialises each request (outputs discarded, item j
+/// seeded with input_seed + j), waits until request i's arrival
+/// t0 + arrivals[i] (absolute targets off a single origin — a slow submit
+/// makes later requests late, never *shifts* the schedule), submits it
+/// through `submit` (called with the concrete request and its mix index —
+/// the cluster routes here) and harvests responses incrementally in
+/// submission order. `arrivals` must be non-decreasing and sized like
+/// `mix`, or empty for submit-all-at-once. Sets *wall_s to the clock span
+/// from the first submission to the full drain.
+std::vector<ReplayOutcome> drive_replay_scheduled(
+    const std::vector<ReplayRequest>& mix, const std::vector<double>& arrivals,
+    Clock& clock,
+    const std::function<std::future<ServeResponse>(ServeRequest, std::size_t)>&
+        submit,
+    double* wall_s, const ReplayWait& wait = {});
+
 class ServingCluster {
  public:
   /// One shard per device, in order; `devices` must be non-empty and may
@@ -116,46 +168,22 @@ class ServingCluster {
   std::future<ServeResponse> submit_async(ServeRequest req);
 
   /// Drive `mix` through the router — paced at `offered_rps` on the cluster
-  /// clock when > 0 — and aggregate a ServingReport: cluster-level model and
-  /// (dtype × batch) stats identical in shape to a single-engine replay,
-  /// cache/queue deltas summed over shards, plus the per-shard breakdown in
-  /// `report.shards` and the router policy in `report.router`.
-  ServingReport replay(const std::vector<InferenceEngine::Request>& mix,
+  /// clock when > 0 — and aggregate a ServingReport: per-model and
+  /// (dtype × batch) stats in first-appearance order, cache/queue deltas
+  /// summed over shards, the per-shard breakdown in `report.shards` and the
+  /// router policy in `report.router`. Rejected/expired requests count into
+  /// queue, group and shard stats but contribute no latency samples.
+  /// Outputs are discarded — submit() is the API for callers that need them.
+  ServingReport replay(const std::vector<ReplayRequest>& mix,
                        double offered_rps = 0.0);
 
   /// As replay(), but paced by an explicit per-request absolute arrival
-  /// schedule (see InferenceEngine::replay_scheduled). Trace replays —
-  /// fcmserve --trace-in and the workload simulator's real-clock baseline —
-  /// land here.
-  ServingReport replay_scheduled(
-      const std::vector<InferenceEngine::Request>& mix,
-      const std::vector<double>& arrivals);
-
-  /// Counter snapshot taken at replay start so finish_replay can report
-  /// deltas over just that replay. begin_replay/finish_replay expose the
-  /// replay() bracketing to external drivers (workload::sim_replay) that
-  /// pace submissions themselves.
-  struct ReplayBracket {
-    std::vector<CacheStats> cache_before;
-    std::vector<QueueStats> queue_before;
-    std::vector<std::int64_t> routed_before;
-    std::int64_t scale_ups_before = 0;
-    std::int64_t scale_downs_before = 0;
-  };
-  /// Snapshot every shard's counters and reset depth watermarks.
-  ReplayBracket begin_replay();
-  /// Aggregate a ServingReport for `mix` with outcomes and per-request shard
-  /// assignments, against the counters captured in `bracket`.
-  ServingReport finish_replay(const ReplayBracket& bracket,
-                              const std::vector<InferenceEngine::Request>& mix,
-                              const std::vector<ReplayOutcome>& outcomes,
-                              const std::vector<std::size_t>& shard_of,
-                              double wall_s);
-
-  /// submit_async that also reports which shard the router picked (replay
-  /// drivers attribute each outcome to its shard). `shard` may be null.
-  std::future<ServeResponse> submit_routed(ServeRequest req,
-                                           std::size_t* shard);
+  /// schedule (see drive_replay_scheduled) and waiting through `wait`.
+  /// Trace replays — fcmserve --trace-in, and workload::sim_replay with its
+  /// virtual-time waits — land here.
+  ServingReport replay_scheduled(const std::vector<ReplayRequest>& mix,
+                                 const std::vector<double>& arrivals,
+                                 const ReplayWait& wait = {});
 
   /// The routing decision, split out from submission. begin_route() runs
   /// the autoscaler and the router and RESERVES the pick: the shard's
@@ -197,11 +225,35 @@ class ServingCluster {
   /// Shards currently accepting new work (the [0, serving) prefix). Equals
   /// size() when autoscaling is off.
   std::size_t serving_shards() const EXCLUDES(route_mu_);
-  /// Lifetime autoscaler event counters (finish_replay reports deltas).
+  /// Lifetime autoscaler event counters (a replay reports deltas).
   std::int64_t scale_ups() const EXCLUDES(route_mu_);
   std::int64_t scale_downs() const EXCLUDES(route_mu_);
 
  private:
+  /// Counter snapshot taken at replay start so finish_replay can report
+  /// deltas over just that replay.
+  struct ReplayBracket {
+    std::vector<CacheStats> cache_before;
+    std::vector<QueueStats> queue_before;
+    std::vector<std::int64_t> routed_before;
+    std::int64_t scale_ups_before = 0;
+    std::int64_t scale_downs_before = 0;
+  };
+  /// Snapshot every shard's counters and reset depth watermarks.
+  ReplayBracket begin_replay();
+  /// Aggregate a ServingReport for `mix` with outcomes and per-request shard
+  /// assignments, against the counters captured in `bracket`.
+  ServingReport finish_replay(const ReplayBracket& bracket,
+                              const std::vector<ReplayRequest>& mix,
+                              const std::vector<ReplayOutcome>& outcomes,
+                              const std::vector<std::size_t>& shard_of,
+                              double wall_s);
+
+  /// submit_async that also reports which shard the router picked (the
+  /// replay attributes each outcome to its shard).
+  std::future<ServeResponse> submit_routed(ServeRequest req,
+                                           std::size_t* shard);
+
   /// The autoscaler control loop, run inside every begin_route with the
   /// pending-folded gauges in hand: decommission drained shards, then at
   /// most one scale event per cooldown. `states` spans all shards in index

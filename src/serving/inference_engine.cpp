@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/random.hpp"
 #include "gpusim/roofline.hpp"
 #include "models/model_zoo.hpp"
 
@@ -451,183 +450,6 @@ bool InferenceEngine::settled() {
     if (workers_.empty()) return true;
   }
   return scheduler_.settled(n_workers(), holds_.active());
-}
-
-ServeRequest materialise_request(const InferenceEngine::Request& q,
-                                 const FmShape& shape) {
-  ServeRequest r;
-  r.model = q.model;
-  r.dtype = q.dtype;
-  r.deadline_s = q.deadline_s;
-  r.discard_outputs = true;  // replay aggregates metrics, never outputs
-  if (q.dry) {
-    r.dry_run = true;
-    r.dry_batch = q.batch;
-    return r;
-  }
-  for (int j = 0; j < q.batch; ++j) {
-    const std::uint64_t seed = q.input_seed + static_cast<std::uint64_t>(j);
-    if (q.dtype == DType::kF32) {
-      TensorF in(shape);
-      fill_uniform(in, seed);
-      r.batch_f32.push_back(std::move(in));
-    } else {
-      TensorI8 in(shape);
-      fill_uniform_i8(in, seed);
-      r.batch_i8.push_back(std::move(in));
-    }
-  }
-  return r;
-}
-
-std::vector<double> arrivals_at_rate(std::size_t n, double offered_rps) {
-  if (offered_rps <= 0.0) return {};
-  std::vector<double> arrivals(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    arrivals[i] = static_cast<double>(i) / offered_rps;
-  }
-  return arrivals;
-}
-
-std::vector<ReplayOutcome> drive_replay_scheduled(
-    const std::vector<InferenceEngine::Request>& mix,
-    const std::vector<double>& arrivals, Clock& clock,
-    const std::function<std::future<ServeResponse>(ServeRequest, std::size_t)>&
-        submit,
-    double* wall_s) {
-  FCM_CHECK(arrivals.empty() || arrivals.size() == mix.size(),
-            "replay: arrival schedule must be empty or sized like the mix");
-  for (std::size_t i = 1; i < arrivals.size(); ++i) {
-    FCM_CHECK(arrivals[i] >= arrivals[i - 1],
-              "replay: arrival schedule must be non-decreasing");
-  }
-  // Input shapes are resolved once per distinct model (a mix is typically
-  // thousands of requests over a handful of models); each request's tensors
-  // are generated just before its submission, so replay's resident set is
-  // bounded by the queue depth + in-flight requests, never by mix.size().
-  // Dry requests carry no tensors and skip shape resolution entirely.
-  std::unordered_map<std::string, FmShape> shapes;
-  const FmShape no_shape{};
-  for (const InferenceEngine::Request& q : mix) {
-    FCM_CHECK(q.batch >= 1, "replay: request batch must be >= 1");
-    if (!q.dry && shapes.find(q.model) == shapes.end()) {
-      shapes.emplace(
-          q.model, models::model_by_name(q.model).layers.front().ifm_shape());
-    }
-  }
-
-  // Responses come back output-free (materialise_request sets
-  // discard_outputs), so a resolved-but-unharvested future holds only
-  // scalar stats; the incremental in-order harvest below just keeps the
-  // outcome records current while submission is still running.
-  std::vector<std::future<ServeResponse>> futures(mix.size());
-  std::vector<ReplayOutcome> outcomes(mix.size());
-  std::size_t submitted = 0, harvested = 0;
-  auto harvest = [&](bool drain_all) {
-    while (harvested < submitted) {
-      auto& f = futures[harvested];
-      if (!drain_all &&
-          f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-        break;
-      }
-      const ServeResponse resp = f.get();
-      outcomes[harvested] = ReplayOutcome{resp.status, resp.latency_s,
-                                          resp.sim_time_s, resp.gma_bytes};
-      ++harvested;
-    }
-  };
-
-  const double t0 = clock.now_s();
-  for (std::size_t i = 0; i < mix.size(); ++i) {
-    // Generate before the pacing wait: the generation cost overlaps the
-    // idle gap instead of skewing the offered inter-arrival times. The
-    // submit callback runs after it — a routing decision must see the
-    // shard loads of the submission instant, not of one gap earlier.
-    ServeRequest req = materialise_request(
-        mix[i], mix[i].dry ? no_shape : shapes.at(mix[i].model));
-    if (!arrivals.empty()) {
-      // Absolute target off the single origin t0: a submission that runs
-      // late (slow generation, blocked push) never shifts the rest of the
-      // schedule — later requests fire at their own t0 + arrivals[j], and
-      // sleep_until past deadlines returns immediately.
-      clock.sleep_until(t0 + arrivals[i]);
-    }
-    futures[i] = submit(std::move(req), i);
-    submitted = i + 1;
-    harvest(false);
-  }
-  harvest(true);
-  *wall_s = clock.now_s() - t0;
-  return outcomes;
-}
-
-void accumulate_outcome(ServingReport& report,
-                        const InferenceEngine::Request& q,
-                        const ReplayOutcome& outcome,
-                        ShardServingStats* shard) {
-  GroupServingStats& group = group_stats(report, q.dtype, q.batch);
-  if (outcome.status == ServeStatus::kRejected) {
-    ++group.rejected;
-    if (shard != nullptr) ++shard->rejected;
-    return;
-  }
-  if (outcome.status == ServeStatus::kExpired) {
-    ++group.expired;
-    if (shard != nullptr) ++shard->expired;
-    return;
-  }
-  ++group.requests;
-  group.items += q.batch;
-  group.latency.observe(outcome.latency_s);
-  group.sim_time_s += outcome.sim_time_s;
-
-  ModelServingStats& stats = model_stats(report, q.model);
-  ++stats.requests;
-  stats.items += q.batch;
-  stats.latency.observe(outcome.latency_s);
-  stats.sim_time_s += outcome.sim_time_s;
-  stats.gma_bytes += outcome.gma_bytes;
-
-  if (shard != nullptr) {
-    ++shard->requests;
-    shard->items += q.batch;
-    shard->latency.observe(outcome.latency_s);
-    shard->sim_time_s += outcome.sim_time_s;
-    shard->gma_bytes += outcome.gma_bytes;
-  }
-}
-
-ServingReport InferenceEngine::replay(const std::vector<Request>& mix,
-                                      double offered_rps) {
-  return replay_scheduled(mix, arrivals_at_rate(mix.size(), offered_rps));
-}
-
-ServingReport InferenceEngine::replay_scheduled(
-    const std::vector<Request>& mix, const std::vector<double>& arrivals) {
-  const CacheStats cache_before = cache_.stats();
-  const QueueStats queue_before = queue_stats();
-  // Start this replay's depth watermark at the backlog it inherits.
-  scheduler_.reset_depth_watermark();
-
-  ServingReport report;
-  report.device = dev_.name;
-  const std::vector<ReplayOutcome> outcomes = drive_replay_scheduled(
-      mix, arrivals, *clock_,
-      [this](ServeRequest req, std::size_t) {
-        return submit_async(std::move(req));
-      },
-      &report.wall_s);
-
-  // Counter deltas over this replay only — the engine may have served other
-  // traffic (e.g. a warm-up loop) before.
-  report.cache = cache_delta(cache_.stats(), cache_before);
-  report.queue = queue_delta(queue_stats(), queue_before);
-  report.queue.max_depth = scheduler_.depth_watermark();
-
-  for (std::size_t i = 0; i < mix.size(); ++i) {
-    accumulate_outcome(report, mix[i], outcomes[i], nullptr);
-  }
-  return report;
 }
 
 }  // namespace fcm::serving

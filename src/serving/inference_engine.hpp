@@ -18,18 +18,17 @@
 // (model, quant) pair (weights materialised once, shared by every request —
 // ModelRunner execution is const and thread-safe). Plans come from the cache
 // keyed on the request dtype (cold on the first request per key, a hash
-// lookup afterwards); kernels run functionally on the simulator. replay()
-// drives a whole synthetic request mix through the admission queue — at an
-// offered request rate when asked — and aggregates a ServingReport. All
-// host-side timing (latency, deadlines, coalescing windows, replay pacing)
-// flows through the injectable Clock, so an engine on a ManualClock is fully
+// lookup afterwards); kernels run functionally on the simulator. The engine
+// does not replay request mixes: a replay is ServingCluster's, and a
+// single-device replay is a one-shard cluster (serving/cluster.hpp). All
+// host-side timing (latency, deadlines, coalescing windows) flows through
+// the injectable Clock, so an engine on a ManualClock is fully
 // deterministic in tests. Results are bit-identical to serial ModelRunner
 // runs of the same plan: neither concurrency, batching, coalescing nor
 // queueing ever changes numerics.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -98,21 +97,6 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  /// One request in a replayed mix; batch item j's input tensor is generated
-  /// deterministically from `input_seed + j`.
-  struct Request {
-    std::string model;
-    std::uint64_t input_seed = 1;
-    DType dtype = DType::kF32;
-    int batch = 1;
-    /// Optional queueing deadline, seconds from enqueue (0 = none).
-    double deadline_s = 0.0;
-    /// Timing-only replay: materialise_request builds a tensor-less dry-run
-    /// ServeRequest instead of generating inputs (the workload simulator's
-    /// mode; sim stats come from the plan's roofline estimate).
-    bool dry = false;
-  };
-
   /// Execute `req` synchronously on the calling thread (no admission queue).
   /// Thread-safe; throws fcm::Error for unknown models, empty or
   /// mixed-shape batches, or INT8 requests on models with standard convs.
@@ -124,23 +108,6 @@ class InferenceEngine {
   /// ServeStatus::kRejected. Failures inside execution (unknown model, bad
   /// shape) surface as exceptions on future.get().
   std::future<ServeResponse> submit_async(ServeRequest req);
-
-  /// Drive `mix` through the admission queue and aggregate per-model and
-  /// per-(dtype × batch) stats in first-appearance order, plus cache and
-  /// queue counter deltas. `offered_rps` > 0 paces submissions at that
-  /// request rate (the open-loop load model the throughput bench sweeps);
-  /// 0 submits the whole mix at once. Rejected/expired requests count into
-  /// queue and group stats but contribute no latency samples. Outputs are
-  /// discarded — submit() is the API for callers that need them.
-  ServingReport replay(const std::vector<Request>& mix,
-                       double offered_rps = 0.0);
-
-  /// As replay(), but paced by an explicit per-request absolute arrival
-  /// schedule: request i is submitted at clock time t0 + arrivals[i]
-  /// (arrivals non-decreasing, sized like `mix`; empty = all at once).
-  /// Trace replays (fcmserve --trace-in) land here.
-  ServingReport replay_scheduled(const std::vector<Request>& mix,
-                                 const std::vector<double>& arrivals);
 
   /// The plan this engine executes `model_name` with (through the cache).
   std::shared_ptr<const planner::Plan> plan_for(const std::string& model_name,
@@ -154,8 +121,8 @@ class InferenceEngine {
   const EngineOptions& options() const { return opt_; }
   PlanCache& plan_cache() { return cache_; }
   Clock& clock() { return *clock_; }
-  /// Lifetime admission-queue counters (replay reports deltas of these),
-  /// including the queued/in-flight gauges at snapshot time.
+  /// Lifetime admission-queue counters (a cluster replay reports deltas of
+  /// these), including the queued/in-flight gauges at snapshot time.
   QueueStats queue_stats() const { return scheduler_.stats(); }
   /// Current load of this engine's admission queue: queued + in-flight,
   /// read under one lock — the signal the cluster router balances on.
@@ -179,8 +146,8 @@ class InferenceEngine {
   std::optional<double> try_predict_cost_s(const std::string& model,
                                            DType dtype, int batch)
       EXCLUDES(dry_mu_);
-  /// Queue high-water mark bracketing (cluster replays bracket every shard
-  /// the same way replay() brackets its own scheduler).
+  /// Queue high-water mark bracketing (a cluster replay brackets every
+  /// shard with these two calls).
   std::int64_t reset_depth_watermark() {
     return scheduler_.reset_depth_watermark();
   }
@@ -285,50 +252,5 @@ class InferenceEngine {
   Mutex workers_mu_;
   std::vector<std::thread> workers_ GUARDED_BY(workers_mu_);
 };
-
-/// Materialise one replay Request into a concrete ServeRequest of `shape`-d
-/// inputs (item j seeded with input_seed + j, outputs discarded — replay
-/// aggregates metrics, never tensors). Shared by InferenceEngine::replay and
-/// ServingCluster::replay so both load generators offer identical traffic.
-ServeRequest materialise_request(const InferenceEngine::Request& q,
-                                 const FmShape& shape);
-
-/// Scalar outcome of one replayed request (replay responses carry no
-/// outputs, so this is all a report needs).
-struct ReplayOutcome {
-  ServeStatus status = ServeStatus::kOk;
-  double latency_s = 0.0;
-  double sim_time_s = 0.0;
-  std::int64_t gma_bytes = 0;
-};
-
-/// The replay driver shared by InferenceEngine and ServingCluster replays:
-/// materialises each Request, submits request i once `clock` reaches
-/// t0 + arrivals[i] (absolute targets off a single origin — a slow submit
-/// makes later requests late, never *shifts* the schedule), submits through
-/// `submit` (called with the concrete request and its mix index — the
-/// cluster routes here) and harvests responses incrementally in submission
-/// order. `arrivals` must be non-decreasing and sized like `mix`, or empty
-/// for submit-all-at-once. Sets *wall_s to the clock span from first
-/// submission to full drain.
-std::vector<ReplayOutcome> drive_replay_scheduled(
-    const std::vector<InferenceEngine::Request>& mix,
-    const std::vector<double>& arrivals, Clock& clock,
-    const std::function<std::future<ServeResponse>(ServeRequest, std::size_t)>&
-        submit,
-    double* wall_s);
-
-/// The arrival schedule an offered rate implies: uniform 1/rps spacing
-/// starting at 0 (empty when rps <= 0 — submit all at once).
-std::vector<double> arrivals_at_rate(std::size_t n, double offered_rps);
-
-/// Fold one replay outcome into the report's per-(dtype × batch) group and
-/// per-model stats — and, when `shard` is non-null, into that cluster
-/// shard's stats — keeping the rejected/expired/completed branching in one
-/// place for both replay flavours.
-void accumulate_outcome(ServingReport& report,
-                        const InferenceEngine::Request& q,
-                        const ReplayOutcome& outcome,
-                        ShardServingStats* shard);
 
 }  // namespace fcm::serving

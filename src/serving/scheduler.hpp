@@ -264,8 +264,8 @@ class Scheduler {
   /// degrading this gauge gracefully toward "nothing known".
   double load_seconds() const EXCLUDES(mu_);
   /// Restart the depth watermark at the current backlog and return the old
-  /// mark; stats().max_depth keeps the lifetime mark. replay() brackets
-  /// itself with these two calls.
+  /// mark; stats().max_depth keeps the lifetime mark. A cluster replay
+  /// brackets each shard with these two calls.
   std::int64_t reset_depth_watermark() EXCLUDES(mu_);
   std::int64_t depth_watermark() const EXCLUDES(mu_);
 

@@ -111,8 +111,8 @@ struct GroupServingStats {
 };
 
 /// Request statistics aggregated for one cluster shard (one per-device
-/// InferenceEngine behind the router). Only cluster replays fill these; a
-/// single-engine report has no shards.
+/// InferenceEngine behind the router). Every replay is a cluster's, so a
+/// single-device replay reports one shard.
 struct ShardServingStats {
   /// Shard index in the cluster's device list.
   int shard = 0;
@@ -141,33 +141,33 @@ struct ShardServingStats {
   double p99_s() const { return latency.percentile(0.99); }
 };
 
-/// One replayed request mix, aggregated per model and per (dtype, batch) —
-/// and, for a cluster replay, per shard.
+/// One replayed request mix, aggregated per model, per (dtype, batch) and
+/// per cluster shard.
 struct ServingReport {
+  /// The one shard's device name, or "cluster[A+B+...]" for several.
   std::string device;
-  /// Cluster replays: the router policy that distributed the mix ("" for a
-  /// single-engine replay).
+  /// The router policy that distributed the mix.
   std::string router;
   /// Host wall-clock time of the whole replay, seconds.
   double wall_s = 0.0;
   /// Plan-cache counter deltas attributable to this replay alone (not the
-  /// engine's lifetime totals). A cluster replay sums its shards' deltas.
+  /// engines' lifetime totals), summed over shards.
   CacheStats cache;
-  /// Admission-queue counter deltas of this replay. A cluster replay sums
-  /// its shards' deltas (max_depth is the max over shards).
+  /// Admission-queue counter deltas of this replay, summed over shards
+  /// (max_depth is the max over shards).
   QueueStats queue;
   std::vector<ModelServingStats> models;
   /// First-appearance order over the mix, like `models`.
   std::vector<GroupServingStats> groups;
-  /// Cluster replays only: per-shard breakdown, in device-list order.
+  /// Per-shard breakdown, in device-list order.
   std::vector<ShardServingStats> shards;
-  /// Autoscaler event deltas over the replay (0/0 when autoscaling is off
-  /// or for a single-engine replay). Scale decisions are part of the
+  /// Autoscaler event deltas over the replay (0/0 when autoscaling is
+  /// off). Scale decisions are part of the
   /// deterministic schedule, so the digest includes them.
   std::int64_t scale_ups = 0;
   std::int64_t scale_downs = 0;
-  /// Shards accepting new work when the replay ended (0 for single-engine
-  /// reports; equals the device-list size when autoscaling is off).
+  /// Shards accepting new work when the replay ended (equals the
+  /// device-list size when autoscaling is off).
   int serving_shards = 0;
 
   int total_requests() const;
@@ -187,8 +187,8 @@ struct ServingReport {
   /// Per-shard table: routed/completed counts, latency percentiles,
   /// simulated time and queue counters. Empty string when no shards.
   std::string shard_table() const;
-  /// One-line roll-up including cache and queue counters (and, for a
-  /// cluster, the router policy and how many shards served requests).
+  /// One-line roll-up including cache and queue counters, the router
+  /// policy and how many shards served requests.
   std::string summary() const;
 
   /// Canonical rendering of every schedule-determined field — per-model and

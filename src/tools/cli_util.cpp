@@ -41,6 +41,13 @@ std::uint64_t Args::next_u64(const std::string& flag, std::uint64_t max) {
        std::to_string(max) + ")");
 }
 
+DType Args::next_dtype(const std::string& flag) {
+  const std::string v = next(flag);
+  if (v == "f32" || v == "fp32") return DType::kF32;
+  if (v == "i8" || v == "int8") return DType::kI8;
+  bad_value(flag, v, "f32|fp32|i8|int8");
+}
+
 void Args::fail(const std::string& msg) const {
   std::cerr << "error: " << msg << "\n";
   usage();
@@ -101,7 +108,6 @@ bool ClusterFlags::parse(Args& args) {
                      "round-robin|least-loaded|least-requests|plan-affinity");
     }
     router = *parsed;
-    router_set = true;
   } else if (arg == "--discipline") {
     const std::string v = args.next(arg);
     if (v == "fifo") discipline = serving::QueueDiscipline::kFifo;
@@ -120,16 +126,12 @@ bool ClusterFlags::parse(Args& args) {
     if (!(sim_dilation > 0.0)) args.bad_value(arg, args.argv[args.i], "> 0");
   } else if (arg == "--autoscale-max") {
     autoscale_max = args.next_u64(arg, 1 << 10);
-    autoscale_set = true;
   } else if (arg == "--scale-up-s") {
     scale_up_s = args.next_double(arg, 1e9);
-    autoscale_set = true;
   } else if (arg == "--scale-down-s") {
     scale_down_s = args.next_double(arg, 1e9);
-    autoscale_set = true;
   } else if (arg == "--scale-cooldown-s") {
     scale_cooldown_s = args.next_double(arg, 1e9);
-    autoscale_set = true;
   } else if (arg == "--metrics-out") {
     metrics_out = args.next(arg);
   } else if (arg == "--trace-out") {
@@ -146,17 +148,8 @@ void ClusterFlags::validate(const Args& args) {
   }
   device_names = split_csv(devices_csv);
   if (devices_set && device_names.empty()) {
-    // "--devices ," must not fall through to a routerless single engine.
+    // "--devices ," must not fall through to the default device.
     args.bad_value("--devices", devices_csv, "a non-empty device list");
-  }
-  // Routing and the autoscaler only exist in cluster mode; accepting their
-  // flags without one would be exactly the silent default the enum-flag
-  // validation refuses to be.
-  if (router_set && device_names.empty()) {
-    args.fail("--router requires --devices (cluster mode)");
-  }
-  if (autoscale_set && device_names.empty()) {
-    args.fail("--autoscale-max/--scale-*-s require --devices (cluster mode)");
   }
   if (autoscale_max > 0 && autoscale_max < device_names.size()) {
     args.fail("--autoscale-max must be >= the --devices count (" +

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
 #include "gpusim/device_spec.hpp"
 #include "obs/trace.hpp"
 #include "serving/cluster.hpp"
@@ -30,6 +31,9 @@ struct Args {
   /// values).
   double next_double(const std::string& flag, double max);
   std::uint64_t next_u64(const std::string& flag, std::uint64_t max);
+  /// next() as a precision: f32|fp32 or i8|int8; anything else is a usage
+  /// error naming the value.
+  DType next_dtype(const std::string& flag);
 
   /// "error: <msg>", usage, exit 2.
   [[noreturn]] void fail(const std::string& msg) const;
@@ -58,10 +62,11 @@ std::vector<std::string> split_csv(const std::string& csv);
 /// --autoscale-max --scale-up-s --scale-down-s --scale-cooldown-s
 /// --metrics-out --trace-out. Each tool starts from its own
 /// defaults (the member initialisers are fcmserve's) and keeps its other
-/// flags, --threads and --seed included, to itself.
+/// flags, --threads and --seed included, to itself. Both tools always serve
+/// a cluster; fcmserve's --device is the one-device list.
 struct ClusterFlags {
-  /// Empty = no cluster (fcmserve's single-engine mode).
-  std::string devices_csv;
+  /// The shard devices, comma-separated (--devices).
+  std::string devices_csv = "RTX";
   serving::RouterPolicy router = serving::RouterPolicy::kRoundRobin;
   serving::QueueDiscipline discipline = serving::QueueDiscipline::kFifo;
   std::size_t queue_depth = 32;
@@ -73,8 +78,9 @@ struct ClusterFlags {
   double scale_up_s = 0.05, scale_down_s = 0.01, scale_cooldown_s = 0.25;
   std::string metrics_out, trace_out;
 
-  /// Which flags were given explicitly (the cluster-only rules need it).
-  bool devices_set = false, router_set = false, autoscale_set = false;
+  /// --devices was given explicitly (it then overrides fcmserve's
+  /// --device, and an empty list is an error).
+  bool devices_set = false;
   /// split_csv(devices_csv), set by validate().
   std::vector<std::string> device_names;
   /// Created by wire() when --trace-out asks for it.

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -50,9 +51,10 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // dtype stays empty unless the user passes --dtype (empty == fp32), so the
+  // dtype stays unset unless the user passes --dtype (unset == fp32), so the
   // import path can tell an explicit request apart from the default.
-  std::string model_name, device = "RTX", dtype, export_path, import_path;
+  std::string model_name, device = "RTX", export_path, import_path;
+  std::optional<DType> dtype;
   unsigned threads = 0, beam_width = 0;
   bool triple = false, compare = false;
   cli::Args args{argc, argv, 1, usage};
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[args.i];
     if (arg == "--model") model_name = args.next(arg);
     else if (arg == "--device") device = args.next(arg);
-    else if (arg == "--dtype") dtype = args.next(arg);
+    else if (arg == "--dtype") dtype = args.next_dtype(arg);
     else if (arg == "--export") export_path = args.next(arg);
     else if (arg == "--import") import_path = args.next(arg);
     else if (arg == "--threads") {
@@ -87,7 +89,7 @@ int main(int argc, char** argv) {
     const auto dev = gpusim::device_by_name(device);
 
     planner::Plan plan;
-    DType dt = dtype == "int8" ? DType::kI8 : DType::kF32;
+    DType dt = dtype.value_or(DType::kF32);
     ModelGraph model;
     if (!import_path.empty()) {
       std::ifstream in(import_path);
@@ -99,7 +101,7 @@ int main(int argc, char** argv) {
       // the model (reconcile rejects the schedule if it does not fit), but
       // the plan's dtype always wins and planning options don't apply.
       if (model_name.empty()) model_name = plan.model_name;
-      if (!dtype.empty() && plan.dtype != dt) {
+      if (dtype.has_value() && plan.dtype != dt) {
         std::cerr << "note: --dtype ignored, imported plan is "
                   << dtype_name(plan.dtype) << "\n";
       }

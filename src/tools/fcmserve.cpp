@@ -6,7 +6,8 @@
 // (cold), every later request reuses the cached plan (warm), and a cache
 // directory carries the plans across process restarts. Replays a synthetic
 // round-robin request mix across the model zoo on the simulator and prints
-// per-model throughput/latency percentiles.
+// per-model throughput/latency percentiles. It always serves a cluster:
+// --device X is a one-shard cluster, --devices a list of shards.
 //
 //   fcmserve --device RTX --requests 4
 //   fcmserve --models Mob_v1,Mob_v2 --cache-dir plans/ --threads 8
@@ -38,7 +39,8 @@ namespace {
 void usage() {
   std::cout <<
       "fcmserve — cached-plan inference serving for the bundled models\n"
-      "  --device <GTX|RTX|Orin>      default RTX\n"
+      "  --device <GTX|RTX|Orin>      serve one shard on this device,\n"
+      "                               default RTX\n"
       "  --devices <csv>              serve a CLUSTER: one engine shard per\n"
       "                               listed device (repeats allowed, e.g.\n"
       "                               GTX,RTX,RTX), requests routed per\n"
@@ -50,10 +52,9 @@ void usage() {
       "                               least-requests = count-based baseline;\n"
       "                               plan-affinity = prefer plan-warm\n"
       "                               shards, then least-loaded)\n"
-      "  --autoscale-max <n>          elastic scaling (cluster mode): let\n"
-      "                               the cluster grow to n shards (reserve\n"
-      "                               shards clone the last --devices\n"
-      "                               entry), default 0 (off)\n"
+      "  --autoscale-max <n>          elastic scaling: let the cluster grow\n"
+      "                               to n shards (reserve shards clone the\n"
+      "                               last device), default 0 (off)\n"
       "  --scale-up-s <x>             add a shard when predicted backlog\n"
       "                               exceeds x seconds per serving shard,\n"
       "                               default 0.05\n"
@@ -182,10 +183,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--batch") {
       batch = static_cast<int>(args.next_u64(arg, 1 << 12));
     } else if (arg == "--dtype") {
-      const std::string v = args.next(arg);
-      if (v == "f32" || v == "fp32") dtype = DType::kF32;
-      else if (v == "i8" || v == "int8") dtype = DType::kI8;
-      else args.bad_value(arg, v, "f32|i8");
+      dtype = args.next_dtype(arg);
     } else if (arg == "--policy") {
       const std::string v = args.next(arg);
       if (v == "block") policy = serving::AdmissionPolicy::kBlock;
@@ -221,6 +219,13 @@ int main(int argc, char** argv) {
   if (requests < 1 || batch < 1 || cache_capacity < 1) {
     args.fail("--requests/--batch/--cache-capacity must all be >= 1");
   }
+  if (!flags.devices_set) {
+    // --device names the one shard; a list belongs in --devices.
+    if (device.empty() || device.find(',') != std::string::npos) {
+      args.bad_value("--device", device, "one device; lists go to --devices");
+    }
+    flags.devices_csv = device;
+  }
   flags.validate(args);
   if (metrics_interval_ms > 0 && flags.metrics_out.empty()) {
     // Same no-silent-noop rule: a periodic dump with nowhere to dump would
@@ -250,12 +255,6 @@ int main(int argc, char** argv) {
       pool_guard = std::make_unique<ScopedPoolOverride>(*own_pool);
     }
 
-    // Cluster mode: one engine shard per --devices entry behind the router.
-    const std::vector<gpusim::DeviceSpec> cluster_devices = flags.devices();
-    const bool cluster_mode = !cluster_devices.empty();
-
-    const auto dev = cluster_mode ? cluster_devices.front()
-                                  : gpusim::device_by_name(device);
     std::vector<std::string> model_names = cli::split_csv(models_csv);
     if (trace_mode) {
       // The cold/warm planning table covers the trace's models, in
@@ -328,14 +327,9 @@ int main(int argc, char** argv) {
     // once the replay drains.
     flags.wire(opt);
 
-    std::unique_ptr<serving::ServingCluster> cluster;
-    std::unique_ptr<serving::InferenceEngine> single;
-    if (cluster_mode) {
-      cluster = std::make_unique<serving::ServingCluster>(
-          cluster_devices, flags.cluster_options(opt));
-    } else {
-      single = std::make_unique<serving::InferenceEngine>(dev, opt);
-    }
+    // One engine shard per device behind the router.
+    serving::ServingCluster cluster(flags.devices(),
+                                    flags.cluster_options(opt));
     // --metrics-interval-ms: rewrite the metrics file in the background
     // while the run progresses (stopped before the authoritative final dump).
     std::unique_ptr<PeriodicMetricsDumper> dumper;
@@ -344,26 +338,14 @@ int main(int argc, char** argv) {
                                                        metrics_interval_ms);
     }
 
-    // Cold/warm timing below works per shard engine; in single mode the one
-    // engine is "shard 0" of a size-1 list.
-    const std::size_t n_shards = cluster_mode ? cluster->size() : 1;
-    auto shard_engine = [&](std::size_t s) -> serving::InferenceEngine& {
-      return cluster_mode ? cluster->engine(s) : *single;
-    };
-
-    // --- cold vs warm planning -------------------------------------------
-    std::cout << "== plan cache: cold vs warm ("
-              << (cluster_mode ? std::to_string(n_shards) + " shards"
-                               : dev.name)
-              << ", " << dtype_name(dtype) << (triple ? ", triple" : "")
-              << ") ==\n";
-    Table t(cluster_mode
-                ? std::vector<std::string>{"device", "model", "cold ms",
-                                           "warm us", "speedup", "source"}
-                : std::vector<std::string>{"model", "cold ms", "warm us",
-                                           "speedup", "source"});
+    // --- cold vs warm planning, per shard engine -------------------------
+    const std::size_t n_shards = cluster.size();
+    std::cout << "== plan cache: cold vs warm (" << n_shards << " shard"
+              << (n_shards == 1 ? "" : "s") << ", " << dtype_name(dtype)
+              << (triple ? ", triple" : "") << ") ==\n";
+    Table t({"device", "model", "cold ms", "warm us", "speedup", "source"});
     for (std::size_t s = 0; s < n_shards; ++s) {
-      serving::InferenceEngine& engine = shard_engine(s);
+      serving::InferenceEngine& engine = cluster.engine(s);
       for (const auto& name : model_names) {
         const auto before = engine.plan_cache().stats();
         auto t0 = steady_now();
@@ -377,13 +359,10 @@ int main(int argc, char** argv) {
         for (int r = 0; r < kWarmReps; ++r) engine.plan_for(name, dtype);
         const double warm_s = seconds_since(t0) / kWarmReps;
 
-        std::vector<std::string> row;
-        if (cluster_mode) row.push_back(engine.device().name);
-        row.insert(row.end(),
-                   {name, fmt_f(cold_s * 1e3, 2), fmt_f(warm_s * 1e6, 1),
-                    fmt_f(warm_s > 0.0 ? cold_s / warm_s : 0.0, 0) + "x",
-                    from_disk ? "disk" : "planned"});
-        t.add_row(row);
+        t.add_row({engine.device().name, name, fmt_f(cold_s * 1e3, 2),
+                   fmt_f(warm_s * 1e6, 1),
+                   fmt_f(warm_s > 0.0 ? cold_s / warm_s : 0.0, 0) + "x",
+                   from_disk ? "disk" : "planned"});
         (void)plan;
       }
     }
@@ -401,7 +380,7 @@ int main(int argc, char** argv) {
     }
 
     // --- request mix through the admission queue -------------------------
-    std::vector<serving::InferenceEngine::Request> mix;
+    std::vector<serving::ReplayRequest> mix;
     std::vector<double> arrivals;
     if (trace_mode) {
       mix = workload::trace_mix(in_trace, /*dry=*/false);
@@ -428,13 +407,12 @@ int main(int argc, char** argv) {
     std::cout << ", queue depth " << flags.queue_depth << ", "
               << serving::admission_policy_name(policy) << ", "
               << serving::queue_discipline_name(flags.discipline);
-    if (cluster_mode) {
-      std::cout << ", " << cluster_devices.size() << " shards";
-      if (flags.autoscale_max > 0) {
-        std::cout << " (elastic, up to " << flags.autoscale_max << ")";
-      }
-      std::cout << ", router " << serving::router_policy_name(flags.router);
+    const std::size_t n_devices = flags.device_names.size();
+    std::cout << ", " << n_devices << " shard" << (n_devices == 1 ? "" : "s");
+    if (flags.autoscale_max > 0) {
+      std::cout << " (elastic, up to " << flags.autoscale_max << ")";
     }
+    std::cout << ", router " << serving::router_policy_name(flags.router);
     if (flags.coalesce > 1) {
       std::cout << ", coalesce " << flags.coalesce << " within "
                 << flags.coalesce_wait_us << " us";
@@ -444,11 +422,7 @@ int main(int argc, char** argv) {
       std::cout << ", sim-dilation " << flags.sim_dilation;
     }
     std::cout << ") ==\n";
-    const auto report =
-        trace_mode
-            ? (cluster_mode ? cluster->replay_scheduled(mix, arrivals)
-                            : single->replay_scheduled(mix, arrivals))
-            : (cluster_mode ? cluster->replay(mix) : single->replay(mix));
+    const auto report = cluster.replay_scheduled(mix, arrivals);
     std::cout << report.table() << report.group_table()
               << report.shard_table() << report.summary() << "\n";
 

@@ -114,10 +114,7 @@ int run_generate(cli::Args& args) {
     } else if (arg == "--models") {
       spec.models = cli::split_csv(args.next(arg));
     } else if (arg == "--dtype") {
-      const std::string v = args.next(arg);
-      if (v == "f32" || v == "fp32") spec.dtype = DType::kF32;
-      else if (v == "i8" || v == "int8") spec.dtype = DType::kI8;
-      else args.bad_value("--dtype", v, "f32|i8");
+      spec.dtype = args.next_dtype(arg);
     } else if (arg == "--batch") {
       spec.batch = static_cast<int>(args.next_u64(arg, 1 << 12));
     } else if (arg == "--deadline-ms") {
@@ -159,7 +156,6 @@ int run_generate(cli::Args& args) {
 int run_replay(cli::Args& args) {
   std::string trace_path;
   cli::ClusterFlags flags;  // fcmsim: one RTX shard, queue depth 64, holds on
-  flags.devices_csv = "RTX";
   flags.queue_depth = 64;
   flags.sim_dilation = 1.0;
   bool functional = false;

@@ -1,15 +1,12 @@
 #include "workload/sim_replay.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
+#include <functional>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 
 #include "common/error.hpp"
-#include "models/model_zoo.hpp"
 
 namespace fcm::workload {
 
@@ -40,113 +37,57 @@ serving::ServingReport sim_replay(serving::ServingCluster& cluster,
             "driver to advance time");
   validate_trace(trace);
 
-  const std::vector<serving::InferenceEngine::Request> mix =
-      trace_mix(trace, /*dry=*/!opt.functional);
-  const std::vector<double> arrivals = trace_arrivals(trace);
-  const std::size_t n = mix.size();
-
-  // Functional replays need each model's input shape; dry replays carry no
-  // tensors at all.
-  std::unordered_map<std::string, FmShape> shapes;
-  const FmShape no_shape{};
-  if (opt.functional) {
-    for (const auto& q : mix) {
-      if (shapes.find(q.model) == shapes.end()) {
-        shapes.emplace(
-            q.model, models::model_by_name(q.model).layers.front().ifm_shape());
-      }
-    }
-  }
-
-  std::vector<std::future<serving::ServeResponse>> futures(n);
-  std::vector<serving::ReplayOutcome> outcomes(n);
-  std::vector<std::size_t> shard_of(n, 0);
-  std::size_t submitted = 0, harvested = 0;
-  auto harvest = [&](bool drain_all) {
-    while (harvested < submitted) {
-      auto& f = futures[harvested];
-      if (!drain_all &&
-          f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-        break;
-      }
-      const serving::ServeResponse resp = f.get();
-      outcomes[harvested] = serving::ReplayOutcome{
-          resp.status, resp.latency_s, resp.sim_time_s, resp.gma_bytes};
-      ++harvested;
-    }
-  };
-
-  // One virtual-time step: with the cluster settled, move the clock to the
-  // earliest pending wakeup (bounded by `target`). Returns false when
-  // nothing could move yet (unsettled, a due wakeup's waiter has not run —
-  // re-nudged so it does — or no finite instant to move to) and the caller
-  // should yield and retry.
+  // The driver's waits, stepping the virtual clock. Time moves only while
+  // the cluster is settled, to the earliest pending wakeup and never past
+  // one (a window must close at its own instant, not at the next
+  // arrival's). An arrival waits until the cluster is settled at its
+  // instant, so a load-based router never reads a gauge that a worker is
+  // still changing; the drain (due = +inf) steps until every response is
+  // in, and never moves to +inf: the virtual span ends at the last finite
+  // event.
   //
   // settled() and next_wakeup_s() are separate snapshots, so the wakeup is
-  // read on both sides of settled() and time moves only when the two reads
+  // read on both sides of settled() and counts only when the two reads
   // agree. A worker woken by the previous set() may still count as parked
   // while settled() runs; its due instant (<= now) shows in the first read
   // unless it already left, and then settled() no longer counts it. A
   // worker that parks in a new hold during settled() shows in the second.
-  auto step_clock = [&](double target) {
-    const double now = clock->now_s();
-    const double wakeup = cluster.next_wakeup_s();
-    if (!cluster.settled() || cluster.next_wakeup_s() != wakeup) return false;
-    if (wakeup <= now) {
-      // A waiter's deadline is due at (or before) the current instant but it
-      // has not woken yet; set() re-notifies without moving time.
-      clock->set(now);
-      return false;
-    }
-    const double next = std::min(wakeup, target);
-    // Settled with nothing pending and no target: outstanding responses are
-    // mid-handoff (a worker between set_value and parking). Never move to
-    // +inf; the virtual span ends at the last finite event.
-    if (!std::isfinite(next)) return false;
-    clock->set(next);
-    return true;
-  };
-
-  serving::ServingCluster::ReplayBracket bracket = cluster.begin_replay();
-  const SteadyClock wall;
-  const double wall0 = wall.now_s();
-  const double t0 = clock->now_s();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    serving::ServeRequest req = serving::materialise_request(
-        mix[i], opt.functional ? shapes.at(mix[i].model) : no_shape);
-    // Advance virtual time to this arrival, stepping through every earlier
-    // worker wakeup in order (never past one — a window must close at its
-    // own instant, not at the next arrival's).
-    const double due = t0 + arrivals[i];
-    while (clock->now_s() < due) {
-      harvest(false);
-      if (!step_clock(due)) std::this_thread::yield();
-    }
-    futures[i] = cluster.submit_routed(std::move(req), &shard_of[i]);
-    submitted = i + 1;
-    harvest(false);
-  }
-
-  // Drain: keep stepping until every response is harvested. A settled
-  // cluster with no pending wakeup and outstanding futures is mid-handoff
-  // (a worker between set_value and parking) — step_clock yields there
-  // instead of advancing.
-  while (harvested < n) {
-    harvest(false);
-    if (harvested == n) break;
-    if (!step_clock(std::numeric_limits<double>::infinity())) {
+  const serving::ReplayWait wait = [&](double due,
+                                       const std::function<bool()>& poll) {
+    for (;;) {
+      if (poll() && !std::isfinite(due)) return;  // drained
+      const double now = clock->now_s();
+      const double wakeup = cluster.next_wakeup_s();
+      if (cluster.settled() && cluster.next_wakeup_s() == wakeup) {
+        if (wakeup <= now) {
+          // A waiter's deadline is due but it has not woken yet; set()
+          // re-notifies without moving time.
+          clock->set(now);
+        } else if (now >= due) {
+          return;  // settled at the arrival instant
+        } else if (std::isfinite(std::min(wakeup, due))) {
+          clock->set(std::min(wakeup, due));
+          if (due < wakeup) return;  // nothing wakes at the arrival instant
+          continue;
+        }
+        // Else settled with nothing pending while responses are
+        // outstanding: they are mid-handoff (a worker between set_value
+        // and parking).
+      }
       std::this_thread::yield();
     }
-  }
+  };
 
-  const double virtual_s = clock->now_s() - t0;
+  const SteadyClock wall;
+  const double wall0 = wall.now_s();
+  serving::ServingReport report = cluster.replay_scheduled(
+      trace_mix(trace, /*dry=*/!opt.functional), trace_arrivals(trace), wait);
   if (summary != nullptr) {
-    summary->virtual_s = virtual_s;
+    summary->virtual_s = report.wall_s;
     summary->wall_s = wall.now_s() - wall0;
-    summary->requests = n;
+    summary->requests = trace.requests.size();
   }
-  return cluster.finish_replay(bracket, mix, outcomes, shard_of, virtual_s);
+  return report;
 }
 
 }  // namespace fcm::workload

@@ -2,22 +2,25 @@
 // serving stack.
 //
 // sim_replay drives a ServingCluster running on a ManualClock through a
-// trace event-to-event: the driver thread submits each request when virtual
-// time reaches its arrival instant, and between arrivals advances the clock
-// directly to the next scheduled event — the next arrival, the next
-// coalescing-window close, or the next completion-hold release
-// (EngineOptions::virtual_hold) — skipping the idle gaps a real clock would
-// sleep through. A 33-minute 1M-request trace replays in seconds of wall
-// time while producing the same ServingReport, metrics and request spans a
-// real-clock replay of the same schedule would.
+// trace event-to-event. It runs the cluster's own replay driver
+// (ServingCluster::replay_scheduled) and supplies only the waits: the
+// driver thread submits each request when virtual time reaches its arrival
+// instant, and between arrivals advances the clock directly to the next
+// scheduled event — the next arrival, the next coalescing-window close, or
+// the next completion-hold release (EngineOptions::virtual_hold) — skipping
+// the idle gaps a real clock would sleep through. A 33-minute 1M-request
+// trace replays in seconds of wall time while producing the same
+// ServingReport, metrics and request spans a real-clock replay of the same
+// schedule would.
 //
-// Correctness hinges on one invariant: the clock only moves while the
-// cluster is settled — every queue worker parked (empty-queue wait, open
-// coalescing window, or completion hold) and no dispatchable backlog
-// awaiting an idle worker — so no in-flight timestamp can straddle a jump.
-// The driver never calls sleep_until on the shared ManualClock (that would
-// leap past intermediate wakeups); it steps set() through each wakeup in
-// order.
+// Correctness hinges on one invariant: the clock only moves, and a request
+// is only routed, while the cluster is settled — every queue worker parked
+// (empty-queue wait, open coalescing window, or completion hold) and no
+// dispatchable backlog awaiting an idle worker — so no in-flight timestamp
+// can straddle a jump and no route reads a gauge mid-change, even when
+// several requests arrive at one instant. The waits never call sleep_until
+// on the shared ManualClock (that would leap past intermediate wakeups);
+// they step set() through each wakeup in order.
 #pragma once
 
 #include <cstdint>

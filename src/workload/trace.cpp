@@ -103,12 +103,11 @@ void save_trace_file(const Trace& trace, const std::string& path) {
   jsonl::save_file(path, serialize_trace(trace), "trace");
 }
 
-std::vector<serving::InferenceEngine::Request> trace_mix(const Trace& trace,
-                                                         bool dry) {
-  std::vector<serving::InferenceEngine::Request> mix;
+std::vector<serving::ReplayRequest> trace_mix(const Trace& trace, bool dry) {
+  std::vector<serving::ReplayRequest> mix;
   mix.reserve(trace.requests.size());
   for (const TraceRecord& r : trace.requests) {
-    serving::InferenceEngine::Request q;
+    serving::ReplayRequest q;
     q.model = r.model;
     q.input_seed = r.seed;
     q.dtype = r.dtype;

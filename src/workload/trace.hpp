@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "serving/inference_engine.hpp"
+#include "serving/cluster.hpp"
 
 namespace fcm::workload {
 
@@ -86,10 +86,9 @@ void validate_trace(const Trace& trace);
 Trace load_trace_file(const std::string& path);
 void save_trace_file(const Trace& trace, const std::string& path);
 
-/// Lower `trace` into the serving layer's replay inputs: one engine Request
+/// Lower `trace` into the serving layer's replay inputs: one ReplayRequest
 /// per record (dry-run when `dry` — timing-only, no tensors) ...
-std::vector<serving::InferenceEngine::Request> trace_mix(const Trace& trace,
-                                                         bool dry);
+std::vector<serving::ReplayRequest> trace_mix(const Trace& trace, bool dry);
 /// ... plus the matching absolute arrival schedule for replay_scheduled.
 std::vector<double> trace_arrivals(const Trace& trace);
 

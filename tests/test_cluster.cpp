@@ -398,7 +398,7 @@ TEST(ServingCluster, ReplayAggregatesPerShardDeterministically) {
   opt.router = RouterPolicy::kRoundRobin;
   ServingCluster cluster({gpusim::jetson_orin(), gpusim::jetson_orin()}, opt);
 
-  std::vector<InferenceEngine::Request> mix;
+  std::vector<ReplayRequest> mix;
   for (int i = 0; i < 8; ++i) {
     mix.push_back({"Tiny", 900 + static_cast<std::uint64_t>(i), DType::kF32,
                    1, 0.0});
@@ -437,17 +437,23 @@ TEST(ServingCluster, ReplayAggregatesPerShardDeterministically) {
   EXPECT_NE(rep.summary().find("2/2 shards served"), std::string::npos);
 }
 
-// A single-engine report has no shards: the table is empty and the summary
-// stays in its single-engine shape.
-TEST(ServingCluster, SingleEngineReportHasNoShardSection) {
-  EngineOptions opt;
-  opt.seed = 77;
-  InferenceEngine engine(gpusim::jetson_orin(), opt);
+// A single-device replay is a one-shard cluster: the report names the
+// shard's device (no "cluster[...]" list), carries one shard row, and the
+// summary names the router.
+TEST(ServingCluster, OneShardReportNamesDeviceShardAndRouter) {
+  ClusterOptions opt;
+  opt.engine.seed = 77;
+  ServingCluster cluster({gpusim::jetson_orin()}, opt);
   const ServingReport rep =
-      engine.replay({{"Tiny", 1, DType::kF32, 1, 0.0}});
-  EXPECT_TRUE(rep.shards.empty());
-  EXPECT_TRUE(rep.shard_table().empty());
-  EXPECT_EQ(rep.summary().find("router"), std::string::npos);
+      cluster.replay({{"Tiny", 1, DType::kF32, 1, 0.0}});
+  EXPECT_EQ(rep.device, gpusim::jetson_orin().name);
+  ASSERT_EQ(rep.shards.size(), 1u);
+  EXPECT_EQ(rep.shards[0].device, gpusim::jetson_orin().name);
+  EXPECT_EQ(rep.shards[0].routed, 1);
+  EXPECT_EQ(rep.shards[0].requests, 1);
+  EXPECT_FALSE(rep.shard_table().empty());
+  EXPECT_NE(rep.summary().find("router round-robin, 1/1 shards served"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -46,12 +46,15 @@ ServeRequest tiny_request(std::uint64_t seed) {
 // submit_async from one thread while another drives replay() through the
 // same admission queue and a third polls the gauges: the engine's plan
 // cache, runner pool, scheduler and worker pool all see concurrent traffic.
+// The replay runs through a one-shard cluster around that engine.
 TEST(RaceStress, EngineSubmitAsyncAndReplayConcurrently) {
-  EngineOptions opt;
-  opt.seed = 77;
-  opt.queue_workers = 2;
-  opt.scheduler.queue_depth = 64;
-  InferenceEngine engine(gpusim::jetson_orin(), opt);
+  ClusterOptions copt;
+  copt.engine.seed = 77;
+  copt.engine.queue_workers = 2;
+  copt.engine.scheduler.queue_depth = 64;
+  const EngineOptions& opt = copt.engine;
+  ServingCluster cluster({gpusim::jetson_orin()}, copt);
+  InferenceEngine& engine = cluster.engine(0);
 
   constexpr int kDirect = 10;
   std::vector<std::future<ServeResponse>> futs(kDirect);
@@ -73,12 +76,12 @@ TEST(RaceStress, EngineSubmitAsyncAndReplayConcurrently) {
     }
   });
 
-  std::vector<InferenceEngine::Request> mix;
+  std::vector<ReplayRequest> mix;
   for (int i = 0; i < 8; ++i) {
     mix.push_back({"Tiny", 2000 + static_cast<std::uint64_t>(i), DType::kF32,
                    1, 0.0});
   }
-  const ServingReport rep = engine.replay(mix);
+  const ServingReport rep = cluster.replay(mix);
 
   submitter.join();
   for (auto& f : futs) EXPECT_TRUE(f.get().ok());

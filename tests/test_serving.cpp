@@ -22,6 +22,7 @@
 #include "gpusim/device_spec.hpp"
 #include "models/model_zoo.hpp"
 #include "planner/plan_io.hpp"
+#include "serving/cluster.hpp"
 #include "serving/inference_engine.hpp"
 #include "serving/plan_cache.hpp"
 #include "serving/serving_report.hpp"
@@ -396,12 +397,13 @@ TEST(InferenceEngine, ConcurrentSubmitsBitIdenticalToSerialRunner) {
   EXPECT_EQ(st.hits + st.coalesced, 3);
 }
 
+// Replays run through a cluster; a single-device replay is a one-shard one.
 TEST(InferenceEngine, ReplayAggregatesPerModel) {
-  EngineOptions opt;
-  InferenceEngine engine(gpusim::jetson_orin(), opt);
-  std::vector<InferenceEngine::Request> mix = {
+  ClusterOptions opt;
+  ServingCluster cluster({gpusim::jetson_orin()}, opt);
+  std::vector<ReplayRequest> mix = {
       {"Mob_v1", 1}, {"Mob_v2", 2}, {"Mob_v1", 3}};
-  const auto report = engine.replay(mix);
+  const auto report = cluster.replay(mix);
 
   ASSERT_EQ(report.models.size(), 2u);  // first-appearance order
   EXPECT_EQ(report.models[0].model, "Mob_v1");
@@ -705,17 +707,17 @@ TEST(InferenceEngine, DeadlineExpiresRequestStuckInQueue) {
 }
 
 TEST(InferenceEngine, ReplayCarriesDtypeBatchGroupsAndQueueCounters) {
-  EngineOptions opt;
-  opt.scheduler.queue_depth = 4;
-  opt.queue_workers = 1;
-  InferenceEngine engine(gpusim::jetson_orin(), opt);
-  const std::vector<InferenceEngine::Request> mix = {
+  ClusterOptions opt;
+  opt.engine.scheduler.queue_depth = 4;
+  opt.engine.queue_workers = 1;
+  ServingCluster cluster({gpusim::jetson_orin()}, opt);
+  const std::vector<ReplayRequest> mix = {
       {"Tiny", 1, DType::kF32, 1},
       {"Tiny", 2, DType::kF32, 4},
       {"Tiny", 3, DType::kI8, 4},
       {"Tiny", 4, DType::kF32, 1},
   };
-  const auto report = engine.replay(mix);
+  const auto report = cluster.replay(mix);
 
   ASSERT_EQ(report.models.size(), 1u);
   EXPECT_EQ(report.models[0].requests, 4);
@@ -745,7 +747,7 @@ TEST(InferenceEngine, ReplayCarriesDtypeBatchGroupsAndQueueCounters) {
 // re-converges instead of accumulating drift.
 TEST(DriveReplay, ScheduledArrivalsAreAbsoluteNotRelative) {
   auto clock = std::make_shared<ManualClock>();
-  std::vector<InferenceEngine::Request> mix(4);
+  std::vector<ReplayRequest> mix(4);
   for (auto& q : mix) {
     q.model = "Tiny";
     q.dry = true;

@@ -421,6 +421,49 @@ TEST(SimReplay, ReplayIsDeterministicForEveryKindRouterAndCoalescing) {
   }
 }
 
+// Arrivals may share an instant (validate_trace accepts equal t), and the
+// clock may already sit on an arrival. Each request of such a burst must be
+// routed only once the cluster has settled at that instant: with dilation 0
+// a worker may otherwise still be executing the burst's previous request,
+// and a load-based router reading its gauges mid-flight routes by host
+// timing. Fresh clusters, one digest.
+TEST(SimReplay, SameInstantArrivalsRouteOnASettledCluster) {
+  Trace trace;
+  trace.name = "bursts";
+  for (int burst = 0; burst < 20; ++burst) {
+    for (int k = 0; k < 4; ++k) {
+      TraceRecord r;
+      r.t_s = 0.01 * burst;
+      r.model = "Tiny";
+      // Mixed batches make the digest tell the shards' requests apart.
+      r.batch = k % 2 == 0 ? 1 : 4;
+      r.seed = static_cast<std::uint64_t>(4 * burst + k);
+      trace.requests.push_back(r);
+    }
+  }
+  for (const serving::RouterPolicy router :
+       {serving::RouterPolicy::kLeastLoaded,
+        serving::RouterPolicy::kLeastRequests}) {
+    std::string digests[3];
+    for (std::string& digest : digests) {
+      auto clock = std::make_shared<ManualClock>();
+      serving::ClusterOptions copt;
+      copt.router = router;
+      copt.engine.clock = clock;
+      copt.engine.queue_workers = 2;
+      copt.engine.scheduler.queue_depth = 4;
+      copt.engine.scheduler.policy = serving::AdmissionPolicy::kReject;
+      serving::ServingCluster cluster({gpusim::gtx1660(), gpusim::rtx_a4000()},
+                                      copt);
+      digest = sim_replay(cluster, clock, trace, SimOptions{}, nullptr)
+                   .deterministic_digest();
+    }
+    const std::string what = serving::router_policy_name(router);
+    EXPECT_EQ(digests[0], digests[1]) << what;
+    EXPECT_EQ(digests[0], digests[2]) << what;
+  }
+}
+
 // With virtual holds, a held completion releases at exactly
 // sim_time x dilation after dispatch on the virtual clock — latency is an
 // exact multiple, something a real clock can only approximate.
