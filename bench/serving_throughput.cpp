@@ -45,10 +45,13 @@
 // RTX row anchors the scale.
 //
 // Part 7 is the observability overhead guard: the identical warm open-loop
-// replay, alternating metrics+tracing enabled vs obs::set_enabled(false)
-// (the FCM_OBS_OFF path), best-of-N each. The instrumented path's wall-time
-// penalty must stay under 2% — the registry's relaxed-atomic hot path is
-// supposed to be invisible next to the simulator's compute.
+// replay with metrics+tracing enabled vs obs::set_enabled(false) (the
+// FCM_OBS_OFF path), in pairs that alternate which side runs first. The
+// instrumented path's wall-time penalty must stay under 2% — the registry's
+// relaxed-atomic hot path is supposed to be invisible next to the
+// simulator's compute. The verdict reads the per-pair overheads' quartiles:
+// yes only when even Q3 is under 2%, NO when the median is not, and
+// unresolved when the spread straddles the bound.
 //
 // Part 8 is the workload-simulator acceptance: per-generator trace-minting
 // throughput for all five arrival families, then a 1M-request Poisson trace
@@ -498,8 +501,9 @@ int main(int argc, char** argv) {
       "Tiny, fp32, warm)");
   {
     // The same warm open-loop replay either way; only the obs flag differs.
-    // Alternating best-of-N runs cancel machine drift — the delta isolates
-    // the registry bumps and span records on the hot path.
+    // Each pair's two runs sit back to back and alternate their order, so
+    // machine drift cancels within a pair — the delta isolates the registry
+    // bumps and span records on the hot path.
     auto single_image_mix = [](int n) {
       std::vector<serving::ReplayRequest> mix;
       for (int i = 0; i < n; ++i) {
@@ -520,26 +524,39 @@ int main(int argc, char** argv) {
       return seconds_since(t0);
     };
     const bool obs_was_enabled = obs::enabled();
-    constexpr int kReps = 5;
-    double best_on = 1e300, best_off = 1e300;
-    for (int r = 0; r < kReps; ++r) {
-      obs::set_enabled(true);
-      best_on = std::min(best_on, run_once());
-      obs::set_enabled(false);
-      best_off = std::min(best_off, run_once());
+    constexpr int kPairs = 10;
+    std::vector<double> on_s, off_s, overhead;
+    for (int r = 0; r < kPairs; ++r) {
+      double on = 0.0, off = 0.0;
+      const bool on_first = r % 2 == 0;
+      for (const bool instrumented : {on_first, !on_first}) {
+        obs::set_enabled(instrumented);
+        (instrumented ? on : off) = run_once();
+      }
+      on_s.push_back(on);
+      off_s.push_back(off);
+      overhead.push_back(on / off - 1.0);
     }
     obs::set_enabled(obs_was_enabled);
-    const double overhead = best_on / best_off - 1.0;
-    Table t({"path", "best wall ms", "items/s"});
-    t.add_row({"instrumented", fmt_f(best_on * 1e3, 1),
-               fmt_f(64.0 / best_on, 1)});
-    t.add_row({"FCM_OBS_OFF", fmt_f(best_off * 1e3, 1),
-               fmt_f(64.0 / best_off, 1)});
+    const double q1 = serving::percentile(overhead, 25.0);
+    const double med = serving::percentile(overhead, 50.0);
+    const double q3 = serving::percentile(overhead, 75.0);
+    const char* verdict = q3 < 0.02    ? "yes"
+                          : med >= 0.02 ? "NO"
+                                        : "unresolved";
+    Table t({"path", "median wall ms", "items/s"});
+    const double med_on = serving::percentile(on_s, 50.0);
+    const double med_off = serving::percentile(off_s, 50.0);
+    t.add_row({"instrumented", fmt_f(med_on * 1e3, 1),
+               fmt_f(64.0 / med_on, 1)});
+    t.add_row({"FCM_OBS_OFF", fmt_f(med_off * 1e3, 1),
+               fmt_f(64.0 / med_off, 1)});
     std::cout << t.str() << "observability overhead: "
-              << fmt_f(overhead * 100.0, 2) << "% ("
-              << (overhead < 0.02 ? "yes" : "NO")
-              << ")   [acceptance: < 2%]\n";
-    record("obs_overhead_frac", overhead);
+              << fmt_f(med * 100.0, 2) << "% [Q1 " << fmt_f(q1 * 100.0, 2)
+              << "%, Q3 " << fmt_f(q3 * 100.0, 2) << "%] over " << kPairs
+              << " pairs (" << verdict
+              << ")   [acceptance: Q3 < 2%; NO when the median >= 2%]\n";
+    record("obs_overhead_frac", med);
   }
 
   bench::print_header(
@@ -677,60 +694,6 @@ int main(int argc, char** argv) {
     record("autoscale_scale_ups", static_cast<double>(report.scale_ups));
     record("autoscale_scale_downs", static_cast<double>(report.scale_downs));
     record("autoscale_fast_forward_x", sum.fast_forward_x());
-  }
-
-  bench::print_header(
-      "Beam tile search: cold-plan cost, exhaustive vs beam width 8 "
-      "(full zoo, FP32, RTX)");
-  {
-    // Part 10: the beam tile search's planning-latency payoff. The beam
-    // exactly evaluates only the top candidates by surrogate GMA, so a cold
-    // plan gets cheaper while the chosen plans' GMA must stay within 1% of
-    // the exhaustive search (the test suite asserts the same bar).
-    const auto dev = gpusim::rtx_a4000();
-    const std::vector<std::string> zoo = {
-        "Mob_v1", "Mob_v2", "XCe", "Prox", "CeiT", "CMT", "EffNet_B0"};
-    auto sweep = [&](int beam_width, double* gma, std::int64_t* evals) {
-      planner::PlanOptions opt;
-      opt.beam_width = beam_width;
-      planner::reset_candidates_evaluated();
-      const SteadyTime t0 = steady_now();
-      for (const auto& name : zoo) {
-        *gma += static_cast<double>(
-            planner::plan_model(dev, models::model_by_name(name), DType::kF32,
-                                opt)
-                .total_gma_bytes());
-      }
-      const double wall = seconds_since(t0);
-      *evals = planner::candidates_evaluated();
-      return wall;
-    };
-    double gma_ex = 0.0, gma_beam = 0.0;
-    std::int64_t evals_ex = 0, evals_beam = 0;
-    const double wall_ex = sweep(0, &gma_ex, &evals_ex);
-    const double wall_beam = sweep(8, &gma_beam, &evals_beam);
-    const double speedup = wall_ex / std::max(1e-9, wall_beam);
-    const double eval_ratio = static_cast<double>(evals_ex) /
-                              static_cast<double>(std::max<std::int64_t>(
-                                  1, evals_beam));
-    const double gma_ratio = gma_beam / gma_ex;
-    Table t({"search", "cold-plan wall (s)", "candidates evaluated",
-             "total GMA (MB)"});
-    t.add_row({"exhaustive", fmt_f(wall_ex, 3), std::to_string(evals_ex),
-               fmt_f(gma_ex / 1e6, 1)});
-    t.add_row({"beam 8", fmt_f(wall_beam, 3), std::to_string(evals_beam),
-               fmt_f(gma_beam / 1e6, 1)});
-    std::cout << t.str() << "beam evaluates " << fmt_f(eval_ratio, 1)
-              << "x fewer candidates at " << fmt_f(gma_ratio, 4)
-              << "x the exhaustive GMA: "
-              << (eval_ratio >= 5.0 && gma_ratio <= 1.01 ? "yes" : "NO")
-              << "   [acceptance: >= 5x fewer exact evals, GMA within 1%]\n";
-    record("plan_exhaustive_wall_s", wall_ex);
-    record("plan_beam_wall_s", wall_beam);
-    record("plan_beam_speedup_x", speedup);
-    record("plan_exhaustive_evals", static_cast<double>(evals_ex));
-    record("plan_beam_evals", static_cast<double>(evals_beam));
-    record("plan_beam_gma_ratio", gma_ratio);
   }
 
   if (!json_out.empty()) {

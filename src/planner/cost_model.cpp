@@ -29,13 +29,12 @@ void fill_precision(gpusim::KernelStats& st, DType dt, std::int64_t conv_ops,
 }  // namespace
 
 std::int64_t sum_in_extents(int out_total, int tile, int k, int s, int pad,
-                            int in_total, bool approx) {
+                            int in_total) {
   const std::int64_t out = out_total, T = tile, K = k, S = s, P = pad;
   const std::int64_t n = ceil_div(out, T);
   const std::int64_t last = out - (n - 1) * T;
   // Unclamped: a tile of `cur` outputs loads (cur − 1)·s + k rows.
   std::int64_t sum = (n - 1) * ((T - 1) * S + K) + (last - 1) * S + K;
-  if (approx) return sum;
   // Tile j's window [j·T·s − pad, (j·T + cur − 1)·s − pad + k) loses what
   // lies above row 0 and below row in_total. Both ends move monotonically
   // with j, so only the first and last few tiles lose anything.
@@ -49,11 +48,9 @@ std::int64_t sum_in_extents(int out_total, int tile, int k, int s, int pad,
   return sum;
 }
 
-std::int64_t sum_taps(int out_total, int k, int s, int pad, int in_total,
-                      bool approx) {
+std::int64_t sum_taps(int out_total, int k, int s, int pad, int in_total) {
   const std::int64_t out = out_total, K = k, S = s, P = pad, in = in_total;
   std::int64_t sum = out * K;
-  if (approx) return sum;
   // Output o reads taps [o·s − pad, o·s − pad + k). Only the outputs below
   // `top_end` (window starts above row 0) and from `bottom_begin` on (window
   // ends past in_total) lose taps; each is visited once.
@@ -72,15 +69,14 @@ std::int64_t sum_taps(int out_total, int k, int s, int pad, int in_total,
 }
 
 MidExtents mid_extents(int out_total, int tile, int k, int s, int pad,
-                       int mid_total, bool approx) {
+                       int mid_total) {
   MidExtents m;
-  m.total = sum_in_extents(out_total, tile, k, s, pad, mid_total, approx);
+  m.total = sum_in_extents(out_total, tile, k, s, pad, mid_total);
   const std::int64_t T = tile, K = k, S = s, P = pad;
   const std::int64_t n = ceil_div(out_total, T);
   // Unclamped: every interior seam repeats max(0, k − s) rows.
   const std::int64_t seam = std::max(0, k - s);
   m.exclusive = m.total - (n - 1) * seam;
-  if (approx) return m;
   // A tile's redundant rows run from its clamped start to the previous
   // tile's unclamped end; a start clamped to row 0 (j·T·s < pad) changes
   // that count, so only those first few tiles need correcting.
@@ -126,10 +122,8 @@ gpusim::KernelStats pw_stats(const LayerSpec& spec, const ConvTiling& t,
   return st;
 }
 
-namespace {
-
-gpusim::KernelStats dw_stats_impl(const LayerSpec& spec, const ConvTiling& t,
-                                  DType dt, bool approx) {
+gpusim::KernelStats dw_stats(const LayerSpec& spec, const ConvTiling& t,
+                             DType dt) {
   FCM_CHECK(spec.kind == ConvKind::kDepthwise, "dw_stats: not depthwise");
   FCM_CHECK(t.valid(), "dw_stats: invalid tiling");
   const std::int64_t esz = esz_of(dt);
@@ -141,16 +135,14 @@ gpusim::KernelStats dw_stats_impl(const LayerSpec& spec, const ConvTiling& t,
 
   const std::int64_t ih_sum = sum_in_extents(static_cast<int>(H), t.tile_h,
                                              spec.kh, spec.stride, spec.pad,
-                                             spec.in_h, approx);
+                                             spec.in_h);
   const std::int64_t iw_sum = sum_in_extents(static_cast<int>(W), t.tile_w,
                                              spec.kw, spec.stride, spec.pad,
-                                             spec.in_w, approx);
+                                             spec.in_w);
   const std::int64_t taps_h = sum_taps(static_cast<int>(H), spec.kh,
-                                       spec.stride, spec.pad, spec.in_h,
-                                       approx);
+                                       spec.stride, spec.pad, spec.in_h);
   const std::int64_t taps_w = sum_taps(static_cast<int>(W), spec.kw,
-                                       spec.stride, spec.pad, spec.in_w,
-                                       approx);
+                                       spec.stride, spec.pad, spec.in_w);
 
   gpusim::KernelStats st;
   const std::int64_t w_loads = nh * nw * C * spec.kh * spec.kw;
@@ -172,8 +164,8 @@ gpusim::KernelStats dw_stats_impl(const LayerSpec& spec, const ConvTiling& t,
   return st;
 }
 
-gpusim::KernelStats std_stats_impl(const LayerSpec& spec, const ConvTiling& t,
-                                   DType dt, bool approx) {
+gpusim::KernelStats std_stats(const LayerSpec& spec, const ConvTiling& t,
+                              DType dt) {
   FCM_CHECK(spec.kind == ConvKind::kStandard, "std_stats: not standard");
   FCM_CHECK(t.valid(), "std_stats: invalid tiling");
   const std::int64_t esz = esz_of(dt);
@@ -185,16 +177,14 @@ gpusim::KernelStats std_stats_impl(const LayerSpec& spec, const ConvTiling& t,
 
   const std::int64_t ih_sum = sum_in_extents(static_cast<int>(H), t.tile_h,
                                              spec.kh, spec.stride, spec.pad,
-                                             spec.in_h, approx);
+                                             spec.in_h);
   const std::int64_t iw_sum = sum_in_extents(static_cast<int>(W), t.tile_w,
                                              spec.kw, spec.stride, spec.pad,
-                                             spec.in_w, approx);
+                                             spec.in_w);
   const std::int64_t taps_h = sum_taps(static_cast<int>(H), spec.kh,
-                                       spec.stride, spec.pad, spec.in_h,
-                                       approx);
+                                       spec.stride, spec.pad, spec.in_h);
   const std::int64_t taps_w = sum_taps(static_cast<int>(W), spec.kw,
-                                       spec.stride, spec.pad, spec.in_w,
-                                       approx);
+                                       spec.stride, spec.pad, spec.in_w);
 
   gpusim::KernelStats st;
   const std::int64_t w_loads = nh * nw * F * C * spec.kh * spec.kw;
@@ -216,18 +206,6 @@ gpusim::KernelStats std_stats_impl(const LayerSpec& spec, const ConvTiling& t,
   return st;
 }
 
-}  // namespace
-
-gpusim::KernelStats dw_stats(const LayerSpec& spec, const ConvTiling& t,
-                             DType dt) {
-  return dw_stats_impl(spec, t, dt, /*approx=*/false);
-}
-
-gpusim::KernelStats std_stats(const LayerSpec& spec, const ConvTiling& t,
-                              DType dt) {
-  return std_stats_impl(spec, t, dt, /*approx=*/false);
-}
-
 gpusim::KernelStats lbl_stats(const LayerSpec& spec, const ConvTiling& t,
                               DType dt) {
   switch (spec.kind) {
@@ -238,38 +216,24 @@ gpusim::KernelStats lbl_stats(const LayerSpec& spec, const ConvTiling& t,
   throw Error("lbl_stats: bad kind");
 }
 
-gpusim::KernelStats lbl_stats_approx(const LayerSpec& spec, const ConvTiling& t,
-                                     DType dt) {
-  switch (spec.kind) {
-    // Pointwise stats are already closed-form — approx == exact.
-    case ConvKind::kPointwise: return pw_stats(spec, t, dt);
-    case ConvKind::kDepthwise: return dw_stats_impl(spec, t, dt, true);
-    case ConvKind::kStandard: return std_stats_impl(spec, t, dt, true);
-  }
-  throw Error("lbl_stats_approx: bad kind");
-}
-
 namespace {
 
 gpusim::KernelStats dwpw_stats(const LayerSpec& dw, const LayerSpec& pw,
-                               const FcmTiling& t, DType dt,
-                               bool approx = false) {
+                               const FcmTiling& t, DType dt) {
   const std::int64_t esz = esz_of(dt);
   const std::int64_t C = dw.out_c, F2 = pw.out_c;
   const std::int64_t H = pw.out_h(), W = pw.out_w();
   const std::int64_t nh = ceil_div(H, t.tile_h);
   const std::int64_t nw = ceil_div(W, t.tile_w);
 
-  const std::int64_t ih_sum =
-      sum_in_extents(static_cast<int>(H), t.tile_h, dw.kh, dw.stride, dw.pad,
-                     dw.in_h, approx);
-  const std::int64_t iw_sum =
-      sum_in_extents(static_cast<int>(W), t.tile_w, dw.kw, dw.stride, dw.pad,
-                     dw.in_w, approx);
+  const std::int64_t ih_sum = sum_in_extents(
+      static_cast<int>(H), t.tile_h, dw.kh, dw.stride, dw.pad, dw.in_h);
+  const std::int64_t iw_sum = sum_in_extents(
+      static_cast<int>(W), t.tile_w, dw.kw, dw.stride, dw.pad, dw.in_w);
   const std::int64_t taps_h =
-      sum_taps(static_cast<int>(H), dw.kh, dw.stride, dw.pad, dw.in_h, approx);
+      sum_taps(static_cast<int>(H), dw.kh, dw.stride, dw.pad, dw.in_h);
   const std::int64_t taps_w =
-      sum_taps(static_cast<int>(W), dw.kw, dw.stride, dw.pad, dw.in_w, approx);
+      sum_taps(static_cast<int>(W), dw.kw, dw.stride, dw.pad, dw.in_w);
 
   gpusim::KernelStats st;
   const std::int64_t w_loads =
@@ -297,8 +261,7 @@ gpusim::KernelStats dwpw_stats(const LayerSpec& dw, const LayerSpec& pw,
 }
 
 gpusim::KernelStats pwdw_stats(const LayerSpec& pw, const LayerSpec& dw,
-                               const FcmTiling& t, DType dt,
-                               bool approx = false) {
+                               const FcmTiling& t, DType dt) {
   FCM_CHECK(t.tile_c > 0, "pwdw_stats: tile_c required");
   const std::int64_t esz = esz_of(dt);
   const std::int64_t C1 = pw.in_c, C2 = pw.out_c;
@@ -308,13 +271,13 @@ gpusim::KernelStats pwdw_stats(const LayerSpec& pw, const LayerSpec& dw,
   const std::int64_t nw = ceil_div(W, t.tile_w);
 
   const MidExtents mh = mid_extents(static_cast<int>(H), t.tile_h, dw.kh,
-                                    dw.stride, dw.pad, dw.in_h, approx);
+                                    dw.stride, dw.pad, dw.in_h);
   const MidExtents mw = mid_extents(static_cast<int>(W), t.tile_w, dw.kw,
-                                    dw.stride, dw.pad, dw.in_w, approx);
+                                    dw.stride, dw.pad, dw.in_w);
   const std::int64_t taps_h =
-      sum_taps(static_cast<int>(H), dw.kh, dw.stride, dw.pad, dw.in_h, approx);
+      sum_taps(static_cast<int>(H), dw.kh, dw.stride, dw.pad, dw.in_h);
   const std::int64_t taps_w =
-      sum_taps(static_cast<int>(W), dw.kw, dw.stride, dw.pad, dw.in_w, approx);
+      sum_taps(static_cast<int>(W), dw.kw, dw.stride, dw.pad, dw.in_w);
 
   gpusim::KernelStats st;
   const std::int64_t w_loads = nh * nw * (C2 * C1 + C2 * dw.kh * dw.kw);
@@ -376,20 +339,17 @@ gpusim::KernelStats pwpw_stats(const LayerSpec& pw1, const LayerSpec& pw2,
 
 }  // namespace
 
-namespace {
-
-gpusim::KernelStats fcm_stats_impl(FcmKind kind, const LayerSpec& first,
-                                   const LayerSpec& second, const FcmTiling& t,
-                                   DType dt, bool approx) {
+gpusim::KernelStats fcm_stats(FcmKind kind, const LayerSpec& first,
+                              const LayerSpec& second, const FcmTiling& t,
+                              DType dt) {
   FCM_CHECK(t.valid(), "fcm_stats: invalid tiling");
   switch (kind) {
     case FcmKind::kDwPw:
-      return dwpw_stats(first, second, t, dt, approx);
+      return dwpw_stats(first, second, t, dt);
     case FcmKind::kPwDw:
     case FcmKind::kPwDwR:
-      return pwdw_stats(first, second, t, dt, approx);
+      return pwdw_stats(first, second, t, dt);
     case FcmKind::kPwPw:
-      // PWPW stats are already closed-form — approx == exact.
       return pwpw_stats(first, second, t, dt);
     case FcmKind::kPwDwPw:
       throw Error("fcm_stats: kPwDwPw is a three-layer module, use pwdwpw_stats");
@@ -397,26 +357,9 @@ gpusim::KernelStats fcm_stats_impl(FcmKind kind, const LayerSpec& first,
   throw Error("fcm_stats: bad kind");
 }
 
-}  // namespace
-
-gpusim::KernelStats fcm_stats(FcmKind kind, const LayerSpec& first,
-                              const LayerSpec& second, const FcmTiling& t,
-                              DType dt) {
-  return fcm_stats_impl(kind, first, second, t, dt, /*approx=*/false);
-}
-
-gpusim::KernelStats fcm_stats_approx(FcmKind kind, const LayerSpec& first,
-                                     const LayerSpec& second,
-                                     const FcmTiling& t, DType dt) {
-  return fcm_stats_impl(kind, first, second, t, dt, /*approx=*/true);
-}
-
-namespace {
-
-gpusim::KernelStats pwdwpw_stats_impl(const LayerSpec& pw1,
-                                      const LayerSpec& dw,
-                                      const LayerSpec& pw2, const FcmTiling& t,
-                                      DType dt, bool approx) {
+gpusim::KernelStats pwdwpw_stats(const LayerSpec& pw1, const LayerSpec& dw,
+                                 const LayerSpec& pw2, const FcmTiling& t,
+                                 DType dt) {
   FCM_CHECK(t.valid() && t.chunk_f > 0, "pwdwpw_stats: invalid tiling");
   const std::int64_t esz = esz_of(dt);
   const std::int64_t C1 = pw1.in_c, C2 = pw1.out_c, F3 = pw2.out_c;
@@ -425,13 +368,13 @@ gpusim::KernelStats pwdwpw_stats_impl(const LayerSpec& pw1,
   const std::int64_t nw = ceil_div(W, t.tile_w);
 
   const MidExtents mh = mid_extents(static_cast<int>(H), t.tile_h, dw.kh,
-                                    dw.stride, dw.pad, dw.in_h, approx);
+                                    dw.stride, dw.pad, dw.in_h);
   const MidExtents mw = mid_extents(static_cast<int>(W), t.tile_w, dw.kw,
-                                    dw.stride, dw.pad, dw.in_w, approx);
+                                    dw.stride, dw.pad, dw.in_w);
   const std::int64_t taps_h =
-      sum_taps(static_cast<int>(H), dw.kh, dw.stride, dw.pad, dw.in_h, approx);
+      sum_taps(static_cast<int>(H), dw.kh, dw.stride, dw.pad, dw.in_h);
   const std::int64_t taps_w =
-      sum_taps(static_cast<int>(W), dw.kw, dw.stride, dw.pad, dw.in_w, approx);
+      sum_taps(static_cast<int>(W), dw.kw, dw.stride, dw.pad, dw.in_w);
 
   gpusim::KernelStats st;
   const std::int64_t w_loads =
@@ -460,21 +403,6 @@ gpusim::KernelStats pwdwpw_stats_impl(const LayerSpec& pw1,
   st.shared_bytes_per_block = pwdwpw_shared_bytes(pw1, dw, pw2, t, dt);
   st.launches = 1;
   return st;
-}
-
-}  // namespace
-
-gpusim::KernelStats pwdwpw_stats(const LayerSpec& pw1, const LayerSpec& dw,
-                                 const LayerSpec& pw2, const FcmTiling& t,
-                                 DType dt) {
-  return pwdwpw_stats_impl(pw1, dw, pw2, t, dt, /*approx=*/false);
-}
-
-gpusim::KernelStats pwdwpw_stats_approx(const LayerSpec& pw1,
-                                        const LayerSpec& dw,
-                                        const LayerSpec& pw2,
-                                        const FcmTiling& t, DType dt) {
-  return pwdwpw_stats_impl(pw1, dw, pw2, t, dt, /*approx=*/true);
 }
 
 namespace paper_eq {

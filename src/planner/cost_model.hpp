@@ -55,17 +55,16 @@ gpusim::KernelStats pwdwpw_stats(const LayerSpec& pw1, const LayerSpec& dw,
 // The exact stats above sum, per spatial dimension, what each tile or output
 // reads once its window is clamped to the input. Each sum is its unclamped
 // closed form minus the clamping corrections, which only the few tiles or
-// outputs whose window crosses a border at either end contribute. `approx`
-// skips the corrections. Arithmetic is in int64; tile, k and s are >= 1.
+// outputs whose window crosses a border at either end contribute.
+// Arithmetic is in int64; tile, k and s are >= 1.
 
 /// Σ over the ⌈out_total/tile⌉ tiles of the clamped, halo'd input extent —
 /// the exact per-block IFM rows (or cols) the kernels load.
 std::int64_t sum_in_extents(int out_total, int tile, int k, int s, int pad,
-                            int in_total, bool approx = false);
+                            int in_total);
 
 /// Σ over output positions of the number of in-bounds filter taps.
-std::int64_t sum_taps(int out_total, int k, int s, int pad, int in_total,
-                      bool approx = false);
+std::int64_t sum_taps(int out_total, int k, int s, int pad, int in_total);
 
 /// Intermediate extents of the PWDW kernels along one dimension.
 struct MidExtents {
@@ -76,23 +75,7 @@ struct MidExtents {
 /// Per-dimension intermediate extents of the PWDW kernels, with the
 /// primary-owner redundancy attribution the kernel uses.
 MidExtents mid_extents(int out_total, int tile, int k, int s, int pad,
-                       int mid_total, bool approx = false);
-
-// --- O(1) closed-form surrogates --------------------------------------------
-// The exact closed forms without their border corrections: ranking priors
-// for the beam search's surrogate pass (see tile_search). Launch geometry,
-// shared footprint and store traffic are exact — only the load/compute
-// counts that border clamping reduces are approximated (from above).
-
-gpusim::KernelStats lbl_stats_approx(const LayerSpec& spec, const ConvTiling& t,
-                                     DType dt);
-gpusim::KernelStats fcm_stats_approx(FcmKind kind, const LayerSpec& first,
-                                     const LayerSpec& second,
-                                     const FcmTiling& t, DType dt);
-gpusim::KernelStats pwdwpw_stats_approx(const LayerSpec& pw1,
-                                        const LayerSpec& dw,
-                                        const LayerSpec& pw2,
-                                        const FcmTiling& t, DType dt);
+                       int mid_total);
 
 // --- the paper's closed forms, element (not byte) counts --------------------
 namespace paper_eq {

@@ -90,9 +90,9 @@ namespace {
 
 /// Per-layer LBL choice with the standard-conv FP32 fallback applied.
 LblChoice lbl_choice_for(const gpusim::DeviceSpec& dev, const LayerSpec& spec,
-                         DType dt, int beam_width) {
+                         DType dt) {
   const DType layer_dt = spec.kind == ConvKind::kStandard ? DType::kF32 : dt;
-  auto lbl = best_lbl_tiling(dev, spec, layer_dt, beam_width);
+  auto lbl = best_lbl_tiling(dev, spec, layer_dt);
   FCM_CHECK(lbl.has_value(),
             "no feasible LBL tiling for " + spec.name + " on " + dev.name);
   return *lbl;
@@ -149,7 +149,6 @@ Plan plan_model(const gpusim::DeviceSpec& dev, const ModelGraph& model,
   plan.dtype = dt;
 
   const int n = model.num_layers();
-  const int beam = options.beam_width;
 
   // Per-layer LBL costs, per-pair fused costs, per-triple fused costs. Every
   // layer/pair/triple is an independent tile search, so the whole estimator
@@ -158,7 +157,7 @@ Plan plan_model(const gpusim::DeviceSpec& dev, const ModelGraph& model,
   // pass for any worker count.
   //
   // Models repeat their blocks, and each search is a pure function of the
-  // layers it reads, names aside (dev, dt and the beam are fixed here). So
+  // layers it reads, names aside (dev and dt are fixed here). So
   // only the first occurrence of each distinct layer, fusable pair and
   // fusable triple is searched, and the repeats copy its choice after the
   // join.
@@ -178,17 +177,17 @@ Plan plan_model(const gpusim::DeviceSpec& dev, const ModelGraph& model,
     const int i = static_cast<int>(idx);
     const std::size_t s = static_cast<std::size_t>(i);
     if (lbl_src[s] == i) {
-      lbl[s] = lbl_choice_for(dev, model.layers[s], dt, beam);
+      lbl[s] = lbl_choice_for(dev, model.layers[s], dt);
     }
     if (pair_src[s] == i) {
       FcmKind kind;
       fcm_kind_for(model.layers[s], model.layers[s + 1], kind);
       fused[s] = best_fcm_tiling(dev, kind, model.layers[s],
-                                 model.layers[s + 1], dt, beam);
+                                 model.layers[s + 1], dt);
     }
     if (triple_src[s] == i) {
       triple[s] = best_pwdwpw_tiling(dev, model.layers[s], model.layers[s + 1],
-                                     model.layers[s + 2], dt, beam);
+                                     model.layers[s + 2], dt);
     }
   });
   for (int i = 0; i < n; ++i) {

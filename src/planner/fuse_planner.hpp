@@ -51,10 +51,6 @@ PairDecision plan_pair(const gpusim::DeviceSpec& dev, const LayerSpec& first,
 struct PlanOptions {
   bool enable_triple = false;
 
-  /// Tile-search beam width; 0 = exhaustive (the paper's search). See
-  /// planner/tile_search.hpp.
-  int beam_width = 0;
-
   /// Member-wise equality — serving/PlanCache keys include the options. A
   /// field added here is picked up by the in-memory key automatically (this
   /// defaulted operator); PlanKeyHash and PlanKey::slug() in

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 
 #include "common/thread_pool.hpp"
 #include "planner/cost_model.hpp"
@@ -23,9 +22,7 @@ std::int64_t lbl_l1(const LayerSpec& spec, const ConvTiling& t, DType dt) {
 }
 
 /// Exact feasibility (paper Eq. 2–4 constraints) from already-computed
-/// stats. All three checks are O(1) and shared verbatim by the surrogate
-/// prescreen: the beam never admits a candidate the exact search would
-/// reject, only the *ranking* is approximated.
+/// stats.
 bool feasible(const gpusim::DeviceSpec& dev, std::int64_t l1,
               const gpusim::KernelStats& st) {
   if (l1 > dev.l1_bytes) return false;
@@ -41,44 +38,21 @@ bool better(const gpusim::KernelStats& a, const gpusim::KernelStats& b) {
   return a.num_blocks < b.num_blocks;
 }
 
-/// Score `cands` and pick the winner by better().
-///
-/// Exhaustive mode evaluates every candidate exactly on the global pool, one
-/// slot per candidate. Beam mode first runs `approx` serially over all
-/// candidates — exact feasibility plus the GMA bytes of O(1) surrogate stats
-/// — keeps the `beam_width` best by (surrogate bytes, enumeration index),
-/// and only evaluates those exactly. Either way the final serial scan visits
-/// slots in a deterministic order and replaces on strictly-better, so the
-/// result is bit-identical regardless of worker count or scheduling.
-template <typename Candidate, typename Choice, typename Exact, typename Approx>
+/// Score every candidate exactly on the global pool, one slot per
+/// candidate, and pick the winner by better(). The final serial scan visits
+/// slots in enumeration order and replaces on strictly-better, so the result
+/// is bit-identical regardless of worker count or scheduling.
+template <typename Candidate, typename Choice, typename Exact>
 std::optional<Choice> search_candidates(const std::vector<Candidate>& cands,
-                                        int beam_width, const Exact& exact,
-                                        const Approx& approx) {
-  std::vector<std::size_t> order;
-  if (beam_width > 0 && static_cast<std::size_t>(beam_width) < cands.size()) {
-    std::vector<std::pair<std::int64_t, std::size_t>> ranked;
-    ranked.reserve(cands.size());
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (auto gma = approx(cands[i])) ranked.emplace_back(*gma, i);
-    }
-    const std::size_t keep =
-        std::min(ranked.size(), static_cast<std::size_t>(beam_width));
-    std::partial_sort(ranked.begin(), ranked.begin() + keep, ranked.end());
-    order.reserve(keep);
-    for (std::size_t i = 0; i < keep; ++i) order.push_back(ranked[i].second);
-  } else {
-    order.resize(cands.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-  }
-
-  g_candidates_evaluated.fetch_add(static_cast<std::int64_t>(order.size()),
+                                        const Exact& exact) {
+  g_candidates_evaluated.fetch_add(static_cast<std::int64_t>(cands.size()),
                                    std::memory_order_relaxed);
 
-  std::vector<std::optional<Choice>> slot(order.size());
+  std::vector<std::optional<Choice>> slot(cands.size());
   ThreadPool::global().parallel_for(
-      static_cast<std::int64_t>(order.size()), [&](std::int64_t i) {
+      static_cast<std::int64_t>(cands.size()), [&](std::int64_t i) {
         slot[static_cast<std::size_t>(i)] =
-            exact(cands[order[static_cast<std::size_t>(i)]]);
+            exact(cands[static_cast<std::size_t>(i)]);
       });
   std::optional<Choice> best;
   for (auto& s : slot) {
@@ -132,8 +106,7 @@ std::vector<int> channel_tile_candidates(int extent, bool warp_multiples_only) {
 }
 
 std::optional<LblChoice> best_lbl_tiling(const gpusim::DeviceSpec& dev,
-                                         const LayerSpec& spec, DType dt,
-                                         int beam_width) {
+                                         const LayerSpec& spec, DType dt) {
   // Filter tiles: warp multiples for PW/standard (a warp computes one output
   // channel column), power-of-two channel groups for DW (channel count need
   // not be warp-aligned since each channel is independent).
@@ -150,16 +123,10 @@ std::optional<LblChoice> best_lbl_tiling(const gpusim::DeviceSpec& dev,
   }
 
   return search_candidates<ConvTiling, LblChoice>(
-      cands, beam_width,
-      [&](const ConvTiling& t) -> std::optional<LblChoice> {
+      cands, [&](const ConvTiling& t) -> std::optional<LblChoice> {
         const auto st = lbl_stats(spec, t, dt);
         if (!feasible(dev, lbl_l1(spec, t, dt), st)) return std::nullopt;
         return LblChoice{t, st};
-      },
-      [&](const ConvTiling& t) -> std::optional<std::int64_t> {
-        const auto st = lbl_stats_approx(spec, t, dt);
-        if (!feasible(dev, lbl_l1(spec, t, dt), st)) return std::nullopt;
-        return st.gma_bytes();
       });
 }
 
@@ -175,8 +142,7 @@ struct FcmCandidate {
 
 std::optional<FcmChoice> best_fcm_tiling(const gpusim::DeviceSpec& dev,
                                          FcmKind kind, const LayerSpec& first,
-                                         const LayerSpec& second, DType dt,
-                                         int beam_width) {
+                                         const LayerSpec& second, DType dt) {
   const int H = second.out_h();
   const int W = second.out_w();
   const auto h_cands = spatial_tile_candidates(H);
@@ -231,30 +197,20 @@ std::optional<FcmChoice> best_fcm_tiling(const gpusim::DeviceSpec& dev,
   }
 
   return search_candidates<FcmCandidate, FcmChoice>(
-      cands, beam_width,
-      [&](const FcmCandidate& c) -> std::optional<FcmChoice> {
+      cands, [&](const FcmCandidate& c) -> std::optional<FcmChoice> {
         const std::int64_t l1 =
             fcm_l1_bytes(c.kind, first, second, c.tiling, dt);
         if (l1 > dev.l1_bytes) return std::nullopt;
         const auto st = fcm_stats(c.kind, first, second, c.tiling, dt);
         if (!feasible(dev, l1, st)) return std::nullopt;
         return FcmChoice{c.kind, c.tiling, st};
-      },
-      [&](const FcmCandidate& c) -> std::optional<std::int64_t> {
-        const std::int64_t l1 =
-            fcm_l1_bytes(c.kind, first, second, c.tiling, dt);
-        if (l1 > dev.l1_bytes) return std::nullopt;
-        const auto st = fcm_stats_approx(c.kind, first, second, c.tiling, dt);
-        if (!feasible(dev, l1, st)) return std::nullopt;
-        return st.gma_bytes();
       });
 }
 
 std::optional<Fcm3Choice> best_pwdwpw_tiling(const gpusim::DeviceSpec& dev,
                                              const LayerSpec& pw1,
                                              const LayerSpec& dw,
-                                             const LayerSpec& pw2, DType dt,
-                                             int beam_width) {
+                                             const LayerSpec& pw2, DType dt) {
   const int H = pw2.out_h();
   const int W = pw2.out_w();
   const auto f_cands =
@@ -267,20 +223,12 @@ std::optional<Fcm3Choice> best_pwdwpw_tiling(const gpusim::DeviceSpec& dev,
   }
 
   return search_candidates<FcmTiling, Fcm3Choice>(
-      cands, beam_width,
-      [&](const FcmTiling& t) -> std::optional<Fcm3Choice> {
+      cands, [&](const FcmTiling& t) -> std::optional<Fcm3Choice> {
         const std::int64_t l1 = pwdwpw_l1_bytes(pw1, dw, pw2, t, dt);
         if (l1 > dev.l1_bytes) return std::nullopt;
         const auto st = pwdwpw_stats(pw1, dw, pw2, t, dt);
         if (!feasible(dev, l1, st)) return std::nullopt;
         return Fcm3Choice{t, st};
-      },
-      [&](const FcmTiling& t) -> std::optional<std::int64_t> {
-        const std::int64_t l1 = pwdwpw_l1_bytes(pw1, dw, pw2, t, dt);
-        if (l1 > dev.l1_bytes) return std::nullopt;
-        const auto st = pwdwpw_stats_approx(pw1, dw, pw2, t, dt);
-        if (!feasible(dev, l1, st)) return std::nullopt;
-        return st.gma_bytes();
       });
 }
 

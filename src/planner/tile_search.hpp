@@ -11,18 +11,9 @@
 // warp multiples (the paper's warp-size restriction), with the layer's full
 // extent always included as a candidate.
 //
-// The winner is the feasible candidate with the fewest GMA bytes, ties going
-// to fewer blocks. Two search modes (`beam_width`):
-//   * Exhaustive (beam_width == 0, the default): every candidate is scored
-//     with the exact operational stats — the paper's search.
-//   * Beam (beam_width > 0): every candidate first passes the exact O(1)
-//     feasibility checks and is ranked by the GMA bytes of O(1) closed-form
-//     surrogate stats (lbl_stats_approx & co); only the top `beam_width`
-//     survivors are evaluated exactly, and the winner is chosen among those.
-//     Deterministic for any worker count: the surrogate ranking is
-//     (surrogate GMA bytes, enumeration index).
-// candidates_evaluated() counts exact evaluations process-wide, so benches
-// and tests can assert how much work the beam saves.
+// Every candidate is scored with the exact operational stats, and the winner
+// is the feasible candidate with the fewest GMA bytes, ties going to fewer
+// blocks. candidates_evaluated() counts the scored candidates process-wide.
 #pragma once
 
 #include <cstdint>
@@ -53,16 +44,14 @@ struct FcmChoice {
 /// Minimum-GMA feasible LBL tiling for one layer; nullopt when no candidate
 /// satisfies the constraints on `dev`.
 std::optional<LblChoice> best_lbl_tiling(const gpusim::DeviceSpec& dev,
-                                         const LayerSpec& spec, DType dt,
-                                         int beam_width = 0);
+                                         const LayerSpec& spec, DType dt);
 
 /// Minimum-GMA feasible fused tiling for a layer pair of base kind `kind`
 /// (pass kPwDw for a PW→DW pair: both the redundancy-free and the _R variant
 /// are explored and the winner's actual kind is returned).
 std::optional<FcmChoice> best_fcm_tiling(const gpusim::DeviceSpec& dev,
                                          FcmKind kind, const LayerSpec& first,
-                                         const LayerSpec& second, DType dt,
-                                         int beam_width = 0);
+                                         const LayerSpec& second, DType dt);
 
 /// A PWDWPW triple-module choice (library extension).
 struct Fcm3Choice {
@@ -74,17 +63,15 @@ struct Fcm3Choice {
 std::optional<Fcm3Choice> best_pwdwpw_tiling(const gpusim::DeviceSpec& dev,
                                              const LayerSpec& pw1,
                                              const LayerSpec& dw,
-                                             const LayerSpec& pw2, DType dt,
-                                             int beam_width = 0);
+                                             const LayerSpec& pw2, DType dt);
 
 /// Candidate generators, exposed for tests and the ablation benches.
 std::vector<int> spatial_tile_candidates(int extent);
 std::vector<int> channel_tile_candidates(int extent, bool warp_multiples_only);
 
 /// Process-wide count of candidates evaluated with exact operational stats
-/// since the last reset (exhaustive mode counts every candidate; beam mode
-/// counts only the surviving beam). Relaxed atomic — bracket a planning call
-/// with reset/read to measure it.
+/// since the last reset. Relaxed atomic — bracket a planning call with
+/// reset/read to measure it.
 std::int64_t candidates_evaluated();
 void reset_candidates_evaluated();
 

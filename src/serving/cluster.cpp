@@ -197,8 +197,8 @@ ServingCluster::ServingCluster(std::vector<gpusim::DeviceSpec> devices,
   const std::size_t total =
       elastic ? std::max(opt_.autoscale.max_shards, devices.size())
               : devices.size();
-  const gpusim::DeviceSpec reserve_dev =
-      opt_.autoscale.device.value_or(devices.back());
+  // Reserve shards beyond the device list clone the last listed device.
+  const gpusim::DeviceSpec reserve_dev = devices.back();
   EngineOptions eopt = opt_.engine;
   eopt.clock = clock_;  // one timeline across every shard
   shards_.reserve(total);

@@ -54,7 +54,6 @@
 #include <future>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,9 +82,6 @@ struct AutoscaleOptions {
   double scale_down_load_s = 0.01;
   /// Minimum clock seconds between scale events (the other hysteresis).
   double cooldown_s = 0.25;
-  /// Device spec of the reserve shards beyond the device list; defaults to
-  /// the last listed device.
-  std::optional<gpusim::DeviceSpec> device;
 };
 
 struct ClusterOptions {

@@ -1,17 +1,15 @@
 #include "serving/plan_cache.hpp"
 
-#include <cerrno>
-#include <chrono>
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <system_error>
-#include <thread>
 
 #if defined(_WIN32)
 #include <process.h>
 #else
-#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -41,46 +39,20 @@ void hash_combine(std::size_t& seed, std::size_t v) {
   seed ^= v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
 }
 
-/// Outcome of one lock-file claim attempt. kBusy means another process holds
-/// the lock (the only case worth waiting on); kUnavailable means the
-/// directory cannot host a lock at all (read-only, missing, ENOSPC) — the
-/// caller must plan locally without coordination, because persistence is
-/// best-effort and a broken cache dir must never fail or hang a request.
-enum class LockClaim { kOwner, kBusy, kUnavailable };
-
-/// Atomically claim `path` as this process's planning lock. O_CREAT|O_EXCL
-/// succeeds for exactly one contender — the POSIX primitive behind classic
-/// lock files. On platforms without it every process claims successfully,
-/// degrading to the pre-lock behaviour (duplicate planning, still correct).
-LockClaim claim_lock(const std::string& path) {
-#if defined(_WIN32)
-  (void)path;
-  return LockClaim::kOwner;
-#else
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd >= 0) {
-    ::close(fd);
-    return LockClaim::kOwner;
-  }
-  return errno == EEXIST ? LockClaim::kBusy : LockClaim::kUnavailable;
-#endif
-}
-
-/// A lock whose mtime is older than this is presumed abandoned (owner
-/// crashed mid-planning) and may be stolen. Far above any real planning
-/// time, so a healthy owner is never robbed.
-constexpr auto kStaleLockAge = std::chrono::seconds(60);
-
-/// Per-process staging suffix: concurrent writers of one plan file (stale
-/// steal, lock-unavailable fallback, platforms without O_EXCL claiming)
-/// must never interleave writes in a shared tmp file. Within one process
-/// the cache single-flights each key, so the pid is discriminator enough.
+/// Per-write staging suffix: concurrent writers of one plan file must never
+/// interleave writes in a shared tmp file. Other processes differ by pid;
+/// within one process, two caches sharing a directory (a cluster's
+/// same-device shards) single-flight a key only per cache, so every write
+/// also takes a process-wide sequence number.
 std::string tmp_suffix() {
+  static std::atomic<std::uint64_t> seq{0};
 #if defined(_WIN32)
-  return ".tmp." + std::to_string(_getpid());
+  const auto pid = _getpid();
 #else
-  return ".tmp." + std::to_string(::getpid());
+  const auto pid = ::getpid();
 #endif
+  return ".tmp." + std::to_string(pid) + "." +
+         std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
 }
 
 }  // namespace
@@ -90,9 +62,6 @@ std::string PlanKey::slug() const {
   os << sanitize(model) << "__" << sanitize(device) << "__"
      << dtype_name(dtype) << "__"
      << (options.enable_triple ? "triple" : "pair");
-  // A non-default beam appends a suffix so the historical file names stay
-  // valid for default-option plans.
-  if (options.beam_width > 0) os << "__beam" << options.beam_width;
   return os.str();
 }
 
@@ -101,7 +70,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
   hash_combine(h, std::hash<std::string>{}(k.device));
   hash_combine(h, static_cast<std::size_t>(k.dtype));
   hash_combine(h, static_cast<std::size_t>(k.options.enable_triple));
-  hash_combine(h, static_cast<std::size_t>(k.options.beam_width));
   return h;
 }
 
@@ -127,9 +95,6 @@ PlanCache::PlanCache(std::size_t capacity, std::string cache_dir)
   m_.coalesced = counter("fcm_plan_cache_coalesced_total",
                          "Lookups that waited on another thread's in-flight "
                          "planning of the same key (single-flight)");
-  m_.lock_waits = counter("fcm_plan_cache_lock_waits_total",
-                          "Misses that waited on another process's plan lock "
-                          "file instead of planning");
   m_.plan_time = &reg.histogram_family(
       "fcm_plan_seconds",
       "Wall time of actual planner runs (cache misses that reached the "
@@ -139,10 +104,6 @@ PlanCache::PlanCache(std::size_t capacity, std::string cache_dir)
 
 std::string PlanCache::file_path(const PlanKey& key) const {
   return (fs::path(cache_dir_) / (key.slug() + ".plan")).string();
-}
-
-std::string PlanCache::lock_path(const PlanKey& key) const {
-  return file_path(key) + ".lock";
 }
 
 std::shared_ptr<const planner::Plan> PlanCache::try_load_disk(
@@ -157,6 +118,15 @@ std::shared_ptr<const planner::Plan> PlanCache::try_load_disk(
     FCM_CHECK(plan.model_name == key.model && plan.dtype == key.dtype,
               "plan cache file does not match its key");
     planner::reconcile(dev, model, plan);
+    // reconcile accepts any fusable triple, so a pair-only key must refuse
+    // a triple plan itself.
+    FCM_CHECK(key.options.enable_triple ||
+                  std::none_of(plan.steps.begin(), plan.steps.end(),
+                               [](const planner::PlanStep& s) {
+                                 return s.fused &&
+                                        s.fcm_kind == FcmKind::kPwDwPw;
+                               }),
+              "plan cache file fuses a triple under a pair-only key");
     {
       MutexLock lk(mu_);
       ++stats_.disk_hits;
@@ -164,8 +134,8 @@ std::shared_ptr<const planner::Plan> PlanCache::try_load_disk(
     if (obs::enabled()) m_.disk_hits->inc();
     return std::make_shared<const planner::Plan>(std::move(plan));
   } catch (const Error&) {
-    // Stale or foreign file (model changed, truncated write, wrong dtype):
-    // the caller replans and the store below repairs it.
+    // Stale or foreign file (model changed, truncated write, wrong dtype or
+    // options): the caller replans and the store below repairs it.
     return nullptr;
   }
 }
@@ -174,66 +144,8 @@ std::shared_ptr<const planner::Plan> PlanCache::produce(
     const gpusim::DeviceSpec& dev, const ModelGraph& model, DType dt,
     const PlanKey& key) {
   const bool persistent = !cache_dir_.empty();
-  bool lock_owner = false;
-  std::string lock;
   if (persistent) {
     if (auto plan = try_load_disk(dev, model, key)) return plan;
-
-    // Cross-process dedup: claim <plan>.lock before planning. Losing the
-    // claim means another cold process is already planning this key — wait
-    // for its plan file instead of repeating the tile search. A lock left by
-    // a crashed owner goes stale and is stolen with fs::rename, which is
-    // atomic: exactly one contender's rename succeeds and takes ownership.
-    std::error_code ec;
-    fs::create_directories(cache_dir_, ec);
-    lock = lock_path(key);
-    LockClaim claim = claim_lock(lock);
-    lock_owner = claim == LockClaim::kOwner;
-    if (claim == LockClaim::kBusy) {
-      {
-        MutexLock lk(mu_);
-        ++stats_.lock_waits;
-      }
-      if (obs::enabled()) m_.lock_waits->inc();
-      for (;;) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        if (auto plan = try_load_disk(dev, model, key)) return plan;
-        std::error_code sec;
-        if (!fs::exists(lock, sec)) {
-          // Owner released without delivering a loadable plan (e.g. its
-          // write failed): take over. kUnavailable (directory vanished or
-          // turned read-only mid-wait) drops coordination and plans locally.
-          claim = claim_lock(lock);
-          if (claim == LockClaim::kBusy) continue;  // lost the re-claim race
-          lock_owner = claim == LockClaim::kOwner;
-          break;
-        }
-        const auto mtime = fs::last_write_time(lock, sec);
-        if (!sec && fs::file_time_type::clock::now() - mtime > kStaleLockAge) {
-          const std::string aside = lock + ".stale";
-          fs::rename(lock, aside, sec);
-          if (!sec) {
-            fs::remove(aside, sec);
-            claim = claim_lock(lock);
-            if (claim == LockClaim::kBusy) continue;
-            lock_owner = claim == LockClaim::kOwner;
-            break;
-          }
-        }
-      }
-      // The owner may have delivered its plan file between this waiter's
-      // last probe and the successful (re-)claim — load it rather than
-      // repeating the tile search it just waited out.
-      if (auto plan = try_load_disk(dev, model, key)) {
-        if (lock_owner) {
-          std::error_code sec;
-          fs::remove(lock, sec);
-        }
-        return plan;
-      }
-    }
-    // claim == kUnavailable falls through with lock_owner == false: the
-    // cache directory cannot coordinate processes, so plan without it.
   }
 
   PlanFn fn;
@@ -241,29 +153,22 @@ std::shared_ptr<const planner::Plan> PlanCache::produce(
     MutexLock lk(mu_);
     fn = plan_fn_;
   }
-  std::shared_ptr<const planner::Plan> plan;
-  try {
-    const SteadyTime t0 = steady_now();
-    plan = std::make_shared<const planner::Plan>(fn(dev, model, dt, key.options));
-    if (obs::enabled()) {
-      // Planning is host compute, so it is timed on the real clock even when
-      // the serving stack runs on a ManualClock.
-      m_.plan_time->with({key.model, dtype_name(key.dtype)})
-          .observe(seconds_since(t0));
-    }
-  } catch (...) {
-    if (lock_owner) {
-      std::error_code ec;
-      fs::remove(lock, ec);  // never strand waiters behind a failed planning
-    }
-    throw;
+  const SteadyTime t0 = steady_now();
+  auto plan =
+      std::make_shared<const planner::Plan>(fn(dev, model, dt, key.options));
+  if (obs::enabled()) {
+    // Planning is host compute, so it is timed on the real clock even when
+    // the serving stack runs on a ManualClock.
+    m_.plan_time->with({key.model, dtype_name(key.dtype)})
+        .observe(seconds_since(t0));
   }
 
   if (persistent) {
     // Best-effort persistence: a read-only or full cache directory must not
-    // fail the request. Write-then-rename keeps concurrent processes from
+    // fail the request. Write-then-rename keeps concurrent writers from
     // observing half-written plans.
     std::error_code ec;
+    fs::create_directories(cache_dir_, ec);
     const std::string path = file_path(key);
     const std::string tmp = path + tmp_suffix();
     std::ofstream out(tmp);
@@ -278,7 +183,6 @@ std::shared_ptr<const planner::Plan> PlanCache::produce(
       ok = !ec;
     }
     if (!ok) fs::remove(tmp, ec);  // never leave a partial .tmp behind
-    if (lock_owner) fs::remove(lock, ec);
   }
   return plan;
 }

@@ -7,11 +7,11 @@
 // is bounded by LRU eviction, and a cache directory (via plan_io
 // serialize/deserialize + reconcile) lets a warm cache survive process
 // restarts. Concurrent misses on the same key are single-flighted: one
-// thread plans, the rest wait and share the result. With a cache directory,
-// the single-flight extends across processes: a lock file claimed with
-// O_CREAT|O_EXCL marks the planning owner, other cold processes wait for
-// the owner's plan file instead of planning the same key, and stale locks
-// left by crashed owners are stolen via an atomic rename.
+// thread plans, the rest wait and share the result. Across processes (or
+// several caches sharing one directory) there is no coordination: a cold
+// cache plans the key itself, since planning costs about a millisecond, and
+// stores it write-then-rename under a staging name no other writer shares,
+// so a reader only ever sees a whole plan file.
 #pragma once
 
 #include <cstdint>
@@ -53,16 +53,13 @@ struct PlanKeyHash {
 /// Cache counters. `misses` counts every lookup that had to leave the
 /// in-memory map; of those, `disk_hits` were satisfied by the cache
 /// directory and the rest ran the planner. `coalesced` lookups piggybacked
-/// on another thread's in-flight planning of the same key; `lock_waits`
-/// counts misses that found another *process* planning the key (its lock
-/// file present) and waited for its plan file instead of planning too.
+/// on another thread's in-flight planning of the same key.
 struct CacheStats {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
   std::int64_t evictions = 0;
   std::int64_t disk_hits = 0;
   std::int64_t coalesced = 0;
-  std::int64_t lock_waits = 0;
 };
 
 /// Thread-safe LRU cache of FusePlanner plans.
@@ -76,7 +73,8 @@ class PlanCache {
   /// `capacity` bounds the number of in-memory plans (>= 1). A non-empty
   /// `cache_dir` enables persistence: fresh plans are serialised into it and
   /// misses consult it before planning (deserialize + reconcile against the
-  /// live model, so stale or foreign files are rejected, then replanned).
+  /// live model, so stale or foreign files — including a triple plan under a
+  /// pair-only key — are rejected, then replanned and overwritten).
   /// The directory is created on first store; eviction never deletes files —
   /// the directory is the durable tier, the LRU bounds memory only.
   explicit PlanCache(std::size_t capacity = 64, std::string cache_dir = {});
@@ -126,8 +124,8 @@ class PlanCache {
   /// Insert under the lock, evicting LRU tails beyond capacity.
   void insert_locked(const PlanKey& key,
                      std::shared_ptr<const planner::Plan> plan) REQUIRES(mu_);
-  /// Produce the plan for a key: disk first (when enabled), planner second
-  /// — deduplicated across processes by a lock file next to the plan file.
+  /// Produce the plan for a key: disk first (when enabled), planner second,
+  /// then store the planned key to disk.
   std::shared_ptr<const planner::Plan> produce(const gpusim::DeviceSpec& dev,
                                                const ModelGraph& model,
                                                DType dt, const PlanKey& key)
@@ -137,7 +135,6 @@ class PlanCache {
       const gpusim::DeviceSpec& dev, const ModelGraph& model,
       const PlanKey& key) EXCLUDES(mu_);
   std::string file_path(const PlanKey& key) const;
-  std::string lock_path(const PlanKey& key) const;
 
   const std::size_t capacity_;
   const std::string cache_dir_;
@@ -151,7 +148,6 @@ class PlanCache {
     obs::Counter* evictions;
     obs::Counter* disk_hits;
     obs::Counter* coalesced;
-    obs::Counter* lock_waits;
     obs::Family<obs::Histogram>* plan_time;
   };
   Metrics m_;

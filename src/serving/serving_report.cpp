@@ -57,7 +57,6 @@ void cache_accumulate(CacheStats& into, const CacheStats& add) {
   into.evictions += add.evictions;
   into.disk_hits += add.disk_hits;
   into.coalesced += add.coalesced;
-  into.lock_waits += add.lock_waits;
 }
 
 CacheStats cache_delta(const CacheStats& after, const CacheStats& before) {
@@ -67,7 +66,6 @@ CacheStats cache_delta(const CacheStats& after, const CacheStats& before) {
   d.evictions = after.evictions - before.evictions;
   d.disk_hits = after.disk_hits - before.disk_hits;
   d.coalesced = after.coalesced - before.coalesced;
-  d.lock_waits = after.lock_waits - before.lock_waits;
   return d;
 }
 

@@ -38,9 +38,6 @@ void usage() {
       "  --device <GTX|RTX|Orin>        default RTX\n"
       "  --dtype  <fp32|int8>           default fp32\n"
       "  --triple                       enable PWDWPW triple fusion\n"
-      "  --beam-width <n>               beam tile search: exactly evaluate\n"
-      "                                 only the top n surrogate-ranked\n"
-      "                                 candidates (0 = exhaustive)\n"
       "  --threads <n>                  worker threads (default: hardware)\n"
       "  --import <file>                load + reconcile an exported schedule\n"
       "                                 instead of planning\n"
@@ -55,7 +52,7 @@ int main(int argc, char** argv) {
   // import path can tell an explicit request apart from the default.
   std::string model_name, device = "RTX", export_path, import_path;
   std::optional<DType> dtype;
-  unsigned threads = 0, beam_width = 0;
+  unsigned threads = 0;
   bool triple = false, compare = false;
   cli::Args args{argc, argv, 1, usage};
   for (; args.i < argc; ++args.i) {
@@ -67,8 +64,6 @@ int main(int argc, char** argv) {
     else if (arg == "--import") import_path = args.next(arg);
     else if (arg == "--threads") {
       threads = static_cast<unsigned>(args.next_u64(arg, 1024));
-    } else if (arg == "--beam-width") {
-      beam_width = static_cast<unsigned>(args.next_u64(arg, 1u << 20));
     } else if (arg == "--triple") triple = true;
     else if (arg == "--compare") compare = true;
     else args.unknown();
@@ -118,12 +113,10 @@ int main(int argc, char** argv) {
       model = models::model_by_name(model_name);
       planner::PlanOptions opt;
       opt.enable_triple = triple;
-      opt.beam_width = static_cast<int>(beam_width);
       planner::reset_candidates_evaluated();
       plan = planner::plan_model(dev, model, dt, opt);
-      std::cout << "tile candidates exactly evaluated: "
-                << planner::candidates_evaluated() << " (beam width "
-                << beam_width << ")\n";
+      std::cout << "tile candidates evaluated: "
+                << planner::candidates_evaluated() << "\n";
     }
 
     std::cout << plan.describe();

@@ -90,9 +90,6 @@ void usage() {
       "  --cache-dir <dir>            persistent plan-cache directory\n"
       "  --cache-capacity <n>         plan-cache LRU bound, default 32\n"
       "  --triple                     enable PWDWPW triple fusion in plans\n"
-      "  --beam-width <n>             beam tile search: exactly evaluate\n"
-      "                               only the top n surrogate-ranked\n"
-      "                               candidates, default 0 (exhaustive)\n"
       "  --seed <n>                   weight seed, default 2024\n"
       "  --plan-only                  cold/warm planning table only (no\n"
       "                               functional execution of requests)\n"
@@ -170,7 +167,6 @@ int main(int argc, char** argv) {
   double deadline_ms = 0.0;
   std::string trace_in;
   std::int64_t metrics_interval_ms = 0;
-  unsigned beam_width = 0;
 
   cli::Args args{argc, argv, 1, usage};
   for (; args.i < argc; ++args.i) {
@@ -202,9 +198,6 @@ int main(int argc, char** argv) {
       seed = args.next_u64(arg, std::numeric_limits<std::uint64_t>::max());
     }
     else if (arg == "--trace-in") trace_in = args.next(arg);
-    else if (arg == "--beam-width") {
-      beam_width = static_cast<unsigned>(args.next_u64(arg, 1u << 20));
-    }
     else if (arg == "--metrics-interval-ms") {
       metrics_interval_ms =
           static_cast<std::int64_t>(args.next_u64(arg, 1u << 30));
@@ -318,7 +311,6 @@ int main(int argc, char** argv) {
     opt.cache_dir = cache_dir;
     opt.seed = seed;
     opt.plan_options.enable_triple = triple;
-    opt.plan_options.beam_width = static_cast<int>(beam_width);
     opt.scheduler.policy = policy;
     // --threads bounds serving concurrency too: the admission queue's
     // request workers, not only the simulator pool.

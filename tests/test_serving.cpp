@@ -1,10 +1,12 @@
 // Serving subsystem tests: cache key correctness, LRU eviction, call-count
 // instrumentation (warm lookups never replan and are >= 10x faster than cold
 // planning), single-flight coalescing, persisted-cache reload equivalence,
-// cross-process lock-file dedup, bit-identity of concurrent InferenceEngine
-// output vs a direct serial ModelRunner run (FP32 and INT8, single and
-// batched), and the admission queue: submit_async future delivery,
-// reject/block backpressure and queueing deadlines.
+// the disk tier's refusals and concurrent stores (an orphaned lock file, two
+// caches sharing a directory, a triple plan under a pair-only key),
+// bit-identity of concurrent InferenceEngine output vs a direct serial
+// ModelRunner run (FP32 and INT8, single and batched), and the admission
+// queue: submit_async future delivery, reject/block backpressure and
+// queueing deadlines.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -43,6 +46,15 @@ PlanCache::PlanFn counting_stub(std::atomic<int>& calls) {
     p.device_name = dev.name;
     p.dtype = dt;
     return p;
+  };
+}
+
+/// The real planner, counting calls.
+PlanCache::PlanFn counting_planner(std::atomic<int>& calls) {
+  return [&calls](const gpusim::DeviceSpec& dev, const ModelGraph& model,
+                  DType dt, const planner::PlanOptions& opt) {
+    ++calls;
+    return planner::plan_model(dev, model, dt, opt);
   };
 }
 
@@ -88,35 +100,13 @@ TEST(PlanCache, KeyDistinguishesModelDeviceDtypeAndOptions) {
   const auto p = cache.get_or_plan(rtx, a, DType::kF32, plain);
   EXPECT_EQ(p->model_name, "A");
   EXPECT_EQ(p->device_name, rtx.name);
-}
 
-TEST(PlanCache, BeamGetsDistinctSlugAndEntry) {
-  planner::PlanOptions plain;
-  planner::PlanOptions beam;
-  beam.beam_width = 8;
-
-  // Default options keep the historical slug, so plan files already on disk
-  // stay valid; a beam suffixes it.
-  const PlanKey k_default{"Mob_v2", "RTX-A4000", DType::kF32, plain};
-  EXPECT_EQ(k_default.slug(), "Mob_v2__RTX-A4000__fp32__pair");
-  const PlanKey k_plain{"A", "GTX-1660", DType::kF32, plain};
-  const PlanKey k_beam{"A", "GTX-1660", DType::kF32, beam};
-  EXPECT_EQ(k_plain.slug().find("__beam"), std::string::npos);
-  EXPECT_NE(k_beam.slug().find("__beam8"), std::string::npos);
-  EXPECT_NE(k_plain.slug(), k_beam.slug());
-
-  // And the cache itself plans once per option set, not once per model.
-  std::atomic<int> calls{0};
-  PlanCache cache(8);
-  cache.set_plan_fn(counting_stub(calls));
-  const auto dev = gpusim::gtx1660();
-  const auto g = named_graph("A");
-  cache.get_or_plan(dev, g, DType::kF32, plain);
-  cache.get_or_plan(dev, g, DType::kF32, beam);
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(cache.size(), 2u);
-  cache.get_or_plan(dev, g, DType::kF32, beam);  // warm — no replan
-  EXPECT_EQ(calls.load(), 2);
+  // The slug is the plan file's stem: default options keep the historical
+  // name, and triple fusion has its own.
+  EXPECT_EQ((PlanKey{"Mob_v2", "RTX-A4000", DType::kF32, plain}.slug()),
+            "Mob_v2__RTX-A4000__fp32__pair");
+  EXPECT_EQ((PlanKey{"Mob_v2", "RTX-A4000", DType::kF32, triple}.slug()),
+            "Mob_v2__RTX-A4000__fp32__triple");
 }
 
 TEST(PlanCache, LruEvictsLeastRecentlyUsed) {
@@ -153,11 +143,7 @@ TEST(PlanCache, WarmLookupsNeverReplanAndAreTenTimesFaster) {
 
   std::atomic<int> calls{0};
   PlanCache cache(4);
-  cache.set_plan_fn([&calls](const gpusim::DeviceSpec& d, const ModelGraph& m,
-                             DType dt, const planner::PlanOptions& o) {
-    ++calls;
-    return planner::plan_model(d, m, dt, o);
-  });
+  cache.set_plan_fn(counting_planner(calls));
 
   auto t0 = steady_now();
   const auto cold = cache.get_or_plan(dev, model, DType::kF32);
@@ -261,71 +247,115 @@ TEST(PlanCache, PersistedCacheReloadsEquivalentPlan) {
   fs::remove_all(dir);
 }
 
-TEST(PlanCache, LockFileMakesColdProcessWaitForOwnersPlan) {
+TEST(PlanCache, OrphanedLockFileDoesNotDelayPlanning) {
+  // A <slug>.plan.lock left in the directory (older caches claimed one
+  // before planning) is not the cache's business: a cold lookup plans the
+  // key itself at once.
   const auto dev = gpusim::gtx1660();
   const auto model = models::tiny();
-  const fs::path dir = fs::temp_directory_path() / "fcm_test_plan_lock_wait";
+  const fs::path dir =
+      fs::temp_directory_path() / "fcm_test_plan_orphaned_lock";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const PlanKey key{model.name, dev.name, DType::kF32, {}};
-  const fs::path lock = dir / (key.slug() + ".plan.lock");
-  const fs::path plan_file = dir / (key.slug() + ".plan");
-
-  // Simulate another cold process that claimed the key first…
-  std::ofstream(lock) << "pid 12345";
-  // …and delivers its plan file (write + rename, like PlanCache does) a
-  // little later, then releases the lock.
-  const std::string plan_text =
-      planner::serialize(planner::plan_model(dev, model, DType::kF32));
-  std::thread owner([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    std::ofstream(plan_file) << plan_text;
-    fs::remove(lock);
-  });
+  std::ofstream(dir / (key.slug() + ".plan.lock")) << "pid 12345";
 
   std::atomic<int> calls{0};
   PlanCache cache(4, dir.string());
-  cache.set_plan_fn(counting_stub(calls));
+  cache.set_plan_fn(counting_planner(calls));
+  const auto t0 = steady_now();
   const auto plan = cache.get_or_plan(dev, model, DType::kF32);
-  owner.join();
+  EXPECT_LT(seconds_since(t0), 1.0);
+  EXPECT_EQ(calls.load(), 1);
 
-  // This "process" never planned: it waited on the lock and loaded the
-  // owner's file.
-  EXPECT_EQ(calls.load(), 0);
-  EXPECT_EQ(planner::serialize(*plan), plan_text);
-  const auto st = cache.stats();
-  EXPECT_EQ(st.misses, 1);
-  EXPECT_EQ(st.disk_hits, 1);
-  EXPECT_EQ(st.lock_waits, 1);
+  // It stored a plan file a fresh cache loads without planning.
+  std::atomic<int> reload_calls{0};
+  PlanCache fresh(4, dir.string());
+  fresh.set_plan_fn(counting_stub(reload_calls));
+  EXPECT_EQ(planner::serialize(*fresh.get_or_plan(dev, model, DType::kF32)),
+            planner::serialize(*plan));
+  EXPECT_EQ(reload_calls.load(), 0);
+  EXPECT_EQ(fresh.stats().disk_hits, 1);
   fs::remove_all(dir);
 }
 
-TEST(PlanCache, StaleLockIsStolenAndKeyReplanned) {
-  const auto dev = gpusim::gtx1660();
-  const auto model = named_graph("Stale");
-  const fs::path dir = fs::temp_directory_path() / "fcm_test_plan_lock_stale";
+TEST(PlanCache, TwoCachesSharingADirectoryStoreWholePlans) {
+  // Two caches in one process given one directory (a cluster's same-device
+  // shards with one --cache-dir) share a slug and a pid; both plan the key
+  // and store it at once, each through its own staging file.
+  const auto dev = gpusim::rtx_a4000();
+  const auto model = models::mobilenet_v2();
+  const fs::path dir =
+      fs::temp_directory_path() / "fcm_test_plan_cache_shared_dir";
+  fs::remove_all(dir);
+
+  PlanCache a(4, dir.string());
+  PlanCache b(4, dir.string());
+  constexpr int kThreads = 8;  // 4 per cache
+  std::vector<std::string> texts(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Spin barrier: every thread misses cold at once.
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kThreads) {
+        std::this_thread::yield();
+      }
+      PlanCache& cache = t % 2 == 0 ? a : b;
+      texts[static_cast<std::size_t>(t)] =
+          planner::serialize(*cache.get_or_plan(dev, model, DType::kF32));
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const auto& text : texts) EXPECT_EQ(text, texts[0]);
+
+  std::atomic<int> calls{0};
+  PlanCache c(4, dir.string());
+  c.set_plan_fn(counting_stub(calls));
+  EXPECT_EQ(planner::serialize(*c.get_or_plan(dev, model, DType::kF32)),
+            texts[0]);
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(c.stats().disk_hits, 1);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
+  fs::remove_all(dir);
+}
+
+TEST(PlanCache, PairKeyRefusesTriplePlanFromDisk) {
+  // reconcile accepts any fusable triple, so a triple plan stored under a
+  // pair-only key's file name must be refused by the cache: the key is
+  // replanned and the file overwritten with the pair plan.
+  const auto dev = gpusim::rtx_a4000();
+  const auto model = models::mobilenet_v2();
+  planner::PlanOptions triple;
+  triple.enable_triple = true;
+  const std::string triple_text =
+      planner::serialize(planner::plan_model(dev, model, DType::kF32, triple));
+  const std::string pair_text =
+      planner::serialize(planner::plan_model(dev, model, DType::kF32));
+  ASSERT_NE(triple_text.find("PWDWPW"), std::string::npos);
+
+  const fs::path dir = fs::temp_directory_path() / "fcm_test_plan_pair_key";
   fs::remove_all(dir);
   fs::create_directories(dir);
-  const PlanKey key{model.name, dev.name, DType::kF32, {}};
-  const fs::path lock = dir / (key.slug() + ".plan.lock");
-
-  // A crashed owner's lock: present but minutes old.
-  std::ofstream(lock) << "pid 999";
-  fs::last_write_time(lock,
-                      fs::file_time_type::clock::now() - std::chrono::minutes(5));
+  const fs::path file =
+      dir / (PlanKey{model.name, dev.name, DType::kF32, {}}.slug() + ".plan");
+  std::ofstream(file) << triple_text;
 
   std::atomic<int> calls{0};
   PlanCache cache(4, dir.string());
-  cache.set_plan_fn(counting_stub(calls));
+  cache.set_plan_fn(counting_planner(calls));
   const auto plan = cache.get_or_plan(dev, model, DType::kF32);
-  EXPECT_EQ(plan->model_name, "Stale");
-  // The stale lock was stolen, the key planned locally exactly once, and
-  // both the lock and its rename-aside are gone afterwards.
+  EXPECT_EQ(planner::serialize(*plan), pair_text);
   EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(cache.stats().lock_waits, 1);
-  EXPECT_FALSE(fs::exists(lock));
-  EXPECT_FALSE(fs::exists(lock.string() + ".stale"));
-  EXPECT_TRUE(fs::exists(dir / (key.slug() + ".plan")));
+  EXPECT_EQ(cache.stats().disk_hits, 0);
+  std::ostringstream stored;
+  stored << std::ifstream(file).rdbuf();
+  EXPECT_EQ(stored.str(), pair_text);
   fs::remove_all(dir);
 }
 
