@@ -186,7 +186,7 @@ BENCHMARK(BM_FcmPwDwI8)->Arg(32)->Arg(64)->Apply(min_of_5);
 void BM_FcmPwDwRGeluF32(benchmark::State& state) {
   // CeiT's LeFF block, 192 -> 768 channels at 14x14 with a 3x3 DW and GELU
   // on both layers, in 7x7 spatial tiles: the heaviest step of the
-  // functional mix, bound by GELU's scalar std::tanh.
+  // functional mix. Both GELU epilogues vectorise through tanh_f32.
   const auto pw = LayerSpec::pointwise("pw", 192, 14, 14, 768, ActKind::kGELU);
   const auto dw = LayerSpec::depthwise("dw", 768, 14, 14, 3, 1, ActKind::kGELU);
   TensorF ifm(pw.ifm_shape());

@@ -14,8 +14,9 @@
 //
 // Each epilogue has one per-element step. `apply()` runs it on one element;
 // the row entry points run it over a row of outputs with the activation
-// chosen once per row, so the compiler can vectorise the row (all but GELU,
-// whose std::tanh stays scalar). The step's constants are copied into locals
+// chosen once per row, so the compiler can vectorise the row for every
+// activation (GELU's tanh is the branch-free tanh_f32, not a libm call that
+// would keep the row scalar). The step's constants are copied into locals
 // first: an int8 store may alias any object, and would otherwise force them
 // to be reloaded after every element.
 #pragma once

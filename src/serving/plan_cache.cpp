@@ -115,7 +115,11 @@ std::shared_ptr<const planner::Plan> PlanCache::try_load_disk(
   text << in.rdbuf();
   try {
     auto plan = planner::deserialize(text.str());
-    FCM_CHECK(plan.model_name == key.model && plan.dtype == key.dtype,
+    // reconcile stamps the plan with `dev`, so another device's plan (its
+    // tiles may not even fit this device's shared memory) must be refused
+    // before it.
+    FCM_CHECK(plan.model_name == key.model && plan.device_name == key.device &&
+                  plan.dtype == key.dtype,
               "plan cache file does not match its key");
     planner::reconcile(dev, model, plan);
     // reconcile accepts any fusable triple, so a pair-only key must refuse
@@ -134,8 +138,8 @@ std::shared_ptr<const planner::Plan> PlanCache::try_load_disk(
     if (obs::enabled()) m_.disk_hits->inc();
     return std::make_shared<const planner::Plan>(std::move(plan));
   } catch (const Error&) {
-    // Stale or foreign file (model changed, truncated write, wrong dtype or
-    // options): the caller replans and the store below repairs it.
+    // Stale or foreign file (model changed, truncated write, wrong device,
+    // dtype or options): the caller replans and the store below repairs it.
     return nullptr;
   }
 }

@@ -73,8 +73,9 @@ class PlanCache {
   /// `capacity` bounds the number of in-memory plans (>= 1). A non-empty
   /// `cache_dir` enables persistence: fresh plans are serialised into it and
   /// misses consult it before planning (deserialize + reconcile against the
-  /// live model, so stale or foreign files — including a triple plan under a
-  /// pair-only key — are rejected, then replanned and overwritten).
+  /// live model, so stale or foreign files — including another device's plan
+  /// and a triple plan under a pair-only key — are rejected, then replanned
+  /// and overwritten).
   /// The directory is created on first store; eviction never deletes files —
   /// the directory is the durable tier, the LRU bounds memory only.
   explicit PlanCache(std::size_t capacity = 64, std::string cache_dir = {});

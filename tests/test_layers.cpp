@@ -1,6 +1,12 @@
 // Unit tests for layer specs, activations, batch norm and model graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "layers/activation.hpp"
 #include "layers/batchnorm.hpp"
 #include "layers/model_graph.hpp"
@@ -65,6 +71,79 @@ TEST(Activation, Semantics) {
   EXPECT_FLOAT_EQ(apply_activation(ActKind::kGELU, 0.0f), 0.0f);
   EXPECT_NEAR(apply_activation(ActKind::kGELU, 10.0f), 10.0f, 1e-3f);
   EXPECT_NEAR(apply_activation(ActKind::kGELU, -10.0f), 0.0f, 1e-3f);
+}
+
+/// Units in the last place between two finite floats: their bit patterns
+/// mapped onto one ordered integer line, where -0 and +0 meet.
+std::int64_t ulp_distance(float a, float b) {
+  const auto line = [](float v) -> std::int64_t {
+    const std::int64_t bits = std::bit_cast<std::int32_t>(v);
+    return bits < 0 ? std::numeric_limits<std::int32_t>::min() - bits : bits;
+  };
+  const std::int64_t d = line(a) - line(b);
+  return d < 0 ? -d : d;
+}
+
+TEST(Activation, TanhWithinTwoUlpOfStdTanh) {
+  // Every 4th float with 2^-7 <= |y| < 16, both signs: the polynomial, the
+  // exp branch and the seam at 0.625 between them. The worst case, 2 ulp,
+  // sits near |y| = 0.0154.
+  std::int64_t worst = 0;
+  float worst_y = 0.0f;
+  for (const std::uint32_t sign : {0u, 0x80000000u}) {
+    for (std::uint32_t b = std::bit_cast<std::uint32_t>(0x1p-7f);
+         b < std::bit_cast<std::uint32_t>(16.0f); b += 4) {
+      const float y = std::bit_cast<float>(b | sign);
+      const std::int64_t d = ulp_distance(tanh_f32(y), std::tanh(y));
+      if (d > worst) {
+        worst = d;
+        worst_y = y;
+      }
+    }
+  }
+  EXPECT_LE(worst, 2) << "at y = " << worst_y;
+}
+
+TEST(Activation, TanhEdgeCases) {
+  using Lim = std::numeric_limits<float>;
+  // Signed zeros keep their sign, and subnormals are their own tanh.
+  for (const float y : {0.0f, -0.0f, Lim::denorm_min(), -Lim::denorm_min(),
+                        std::nextafter(Lim::min(), 0.0f),
+                        -std::nextafter(Lim::min(), 0.0f)}) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(tanh_f32(y)),
+              std::bit_cast<std::uint32_t>(y))
+        << y;
+  }
+  for (const float y : {Lim::max(), Lim::infinity()}) {
+    EXPECT_EQ(tanh_f32(y), 1.0f) << y;
+    EXPECT_EQ(tanh_f32(-y), -1.0f) << -y;
+  }
+  EXPECT_TRUE(std::isnan(tanh_f32(Lim::quiet_NaN())));
+}
+
+TEST(Activation, GeluNoLessAccurateThanWithStdTanh) {
+  // GELU through tanh_f32 against the same formula in double must be no
+  // worse than the formula through std::tanh was: every 31st float with
+  // 2^-4 <= |x| < 60 (both err by at most 4.4e-7, near |x| = 4.71; below
+  // 2^-4 both stay under 4e-9).
+  const auto gelu = [](auto x, auto tanh) {
+    using T = decltype(x);
+    const T c = T(0.7978845608);  // sqrt(2/pi)
+    return T(0.5) * x * (T(1) + tanh(c * (x + T(0.044715) * x * x * x)));
+  };
+  const auto std_tanh = [](auto v) { return std::tanh(v); };
+  double err = 0.0;
+  double err_std = 0.0;
+  for (const std::uint32_t sign : {0u, 0x80000000u}) {
+    for (std::uint32_t b = std::bit_cast<std::uint32_t>(0x1p-4f);
+         b < std::bit_cast<std::uint32_t>(60.0f); b += 31) {
+      const float x = std::bit_cast<float>(b | sign);
+      const double exact = gelu(static_cast<double>(x), std_tanh);
+      err = std::max(err, std::abs(activate<ActKind::kGELU>(x) - exact));
+      err_std = std::max(err_std, std::abs(gelu(x, std_tanh) - exact));
+    }
+  }
+  EXPECT_LE(err, err_std);
 }
 
 TEST(BatchNorm, FoldMatchesDefinition) {

@@ -1,7 +1,13 @@
 // Runtime tests: functional plan execution against the naive reference on a
-// small model (both precisions, residuals included; bit-identical on any
-// worker count) and the analytic plan evaluators.
+// small model and on CeiT's GELU block (both precisions, residuals included;
+// bit-identical on any worker count and batch) and the analytic plan
+// evaluators.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "gpusim/device_spec.hpp"
@@ -93,6 +99,89 @@ TEST(Runtime, FunctionalStatsMatchPlannerPrediction) {
     EXPECT_EQ(report.steps[i].stats.gma_bytes(),
               plan.steps[i].stats.gma_bytes())
         << "step " << i << ": the cost model must predict the kernel exactly";
+  }
+}
+
+/// CeiT's first LeFF block, layers 2-4 of models::ceit(): PW 192->768 and
+/// DW 3x3, both GELU, then PW 768->192 over the 14x14 token grid.
+ModelGraph ceit_leff_block() {
+  const auto ceit = models::ceit();
+  ModelGraph g;
+  g.name = "CeiT_LeFF";
+  g.layers.assign(ceit.layers.begin() + 2, ceit.layers.begin() + 5);
+  g.validate();
+  return g;
+}
+
+/// True when the two tensors hold the same shape and bytes.
+template <typename T>
+bool same_bits(const Tensor<T>& a, const Tensor<T>& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(T) * static_cast<std::size_t>(a.size())) == 0;
+}
+
+/// Run `plan` (dtype T) at batch 1 and 4 on 1 and 4 workers: every output
+/// equals the reference bit for bit, and at batch 1 every step's stats equal
+/// its plan step's prediction.
+template <typename T>
+void expect_plan_matches_reference(const ModelRunner& runner,
+                                   const planner::Plan& plan) {
+  constexpr bool kF32 = std::is_same_v<T, float>;
+  const FmShape shape = runner.model().layers.front().ifm_shape();
+  for (const int batch : {1, 4}) {
+    std::vector<Tensor<T>> inputs;
+    std::vector<Tensor<T>> refs;
+    for (int i = 0; i < batch; ++i) {
+      Tensor<T>& in = inputs.emplace_back(shape);
+      if constexpr (kF32) {
+        fill_uniform(in, 40 + i);
+        refs.push_back(runner.run_reference_f32(in));
+      } else {
+        fill_uniform_i8(in, 40 + i);
+        refs.push_back(runner.run_reference_i8(in));
+      }
+    }
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + ", " +
+                   std::to_string(workers) + " workers");
+      ThreadPool pool(workers);
+      ScopedPoolOverride guard(pool);
+      ModelReport report;
+      const BatchView<T> view(inputs);
+      std::vector<Tensor<T>> outs;
+      if constexpr (kF32) {
+        outs = runner.run_f32_batch(plan, view, &report);
+      } else {
+        outs = runner.run_i8_batch(plan, view, &report);
+      }
+      ASSERT_EQ(outs.size(), refs.size());
+      for (std::size_t i = 0; i < outs.size(); ++i) {
+        EXPECT_TRUE(same_bits(outs[i], refs[i])) << "item " << i;
+      }
+      ASSERT_EQ(report.steps.size(), plan.steps.size());
+      if (batch != 1) continue;
+      for (std::size_t s = 0; s < plan.steps.size(); ++s) {
+        EXPECT_EQ(report.steps[s].stats, plan.steps[s].stats) << "step " << s;
+      }
+    }
+  }
+}
+
+TEST(Runtime, GeluBlockMatchesReferenceAndPrediction) {
+  // The functional mix's GELU work: CeiT's LeFF block planned on RTX-A4000.
+  const auto dev = gpusim::rtx_a4000();
+  const auto model = ceit_leff_block();
+  const ModelRunner runner(dev, model, 17);
+  {
+    SCOPED_TRACE("fp32");
+    expect_plan_matches_reference<float>(
+        runner, planner::plan_model(dev, model, DType::kF32));
+  }
+  {
+    SCOPED_TRACE("int8");
+    expect_plan_matches_reference<std::int8_t>(
+        runner, planner::plan_model(dev, model, DType::kI8));
   }
 }
 

@@ -2,7 +2,8 @@
 // instrumentation (warm lookups never replan and are >= 10x faster than cold
 // planning), single-flight coalescing, persisted-cache reload equivalence,
 // the disk tier's refusals and concurrent stores (an orphaned lock file, two
-// caches sharing a directory, a triple plan under a pair-only key),
+// caches sharing a directory, a triple plan under a pair-only key, another
+// device's plan),
 // bit-identity of concurrent InferenceEngine output vs a direct serial
 // ModelRunner run (FP32 and INT8, single and batched), and the admission
 // queue: submit_async future delivery, reject/block backpressure and
@@ -356,6 +357,42 @@ TEST(PlanCache, PairKeyRefusesTriplePlanFromDisk) {
   std::ostringstream stored;
   stored << std::ifstream(file).rdbuf();
   EXPECT_EQ(stored.str(), pair_text);
+  fs::remove_all(dir);
+}
+
+TEST(PlanCache, KeyRefusesOtherDevicesPlanFromDisk) {
+  // reconcile stamps a loaded plan with the key's device, so the cache must
+  // refuse a plan made for another device itself: its tiles are sized for
+  // that device's shared memory and L2. The key is replanned and the file
+  // overwritten with this device's plan.
+  const auto gtx = gpusim::gtx1660();
+  const auto rtx = gpusim::rtx_a4000();
+  const auto model = models::mobilenet_v2();
+  const std::string rtx_text =
+      planner::serialize(planner::plan_model(rtx, model, DType::kF32));
+  const std::string gtx_text =
+      planner::serialize(planner::plan_model(gtx, model, DType::kF32));
+  // Past the header line the two schedules differ.
+  ASSERT_NE(rtx_text.substr(rtx_text.find('\n')),
+            gtx_text.substr(gtx_text.find('\n')));
+
+  const fs::path dir = fs::temp_directory_path() / "fcm_test_plan_device_key";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path file =
+      dir / (PlanKey{model.name, gtx.name, DType::kF32, {}}.slug() + ".plan");
+  std::ofstream(file) << rtx_text;
+
+  std::atomic<int> calls{0};
+  PlanCache cache(4, dir.string());
+  cache.set_plan_fn(counting_planner(calls));
+  const auto plan = cache.get_or_plan(gtx, model, DType::kF32);
+  EXPECT_EQ(planner::serialize(*plan), gtx_text);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(cache.stats().disk_hits, 0);
+  std::ostringstream stored;
+  stored << std::ifstream(file).rdbuf();
+  EXPECT_EQ(stored.str(), gtx_text);
   fs::remove_all(dir);
 }
 
