@@ -19,9 +19,10 @@
 // them strictly in sequence. Concretely:
 //
 //  * ServingCluster::route_mu_ — serialises the routing pick + routed
-//    counters only. Shard gauges (Scheduler::load(), PlanCache::contains())
-//    are gathered BEFORE it is taken; no shard mutex is ever acquired while
-//    route_mu_ is held, so route_mu_ never nests with Scheduler::mu_.
+//    counters only. Shard gauges (Scheduler::load(), load_seconds(), the
+//    memoised cost) are gathered BEFORE it is taken; no shard mutex is ever
+//    acquired while route_mu_ is held, so route_mu_ never nests with
+//    Scheduler::mu_.
 //  * Scheduler::mu_, PlanCache::mu_, InferenceEngine::mu_,
 //    InferenceEngine::workers_mu_, ThreadPool::mu_ — leaf mutexes; none of
 //    them is acquired while another FCM mutex is held.

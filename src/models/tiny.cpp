@@ -3,12 +3,12 @@
 namespace fcm::models {
 
 // "Tiny" — a compact MobileNet-style depthwise-separable stack used by the
-// serving tests, CI smokes and load-sweep benches. Unlike the paper models it
-// has no standard-conv stem (a pointwise stem instead), so it is the one zoo
-// entry the INT8 functional path (`ModelRunner::run_i8`) can execute end to
-// end; it is also small enough that a full functional run is milliseconds,
-// which keeps queue/backpressure tests and offered-load sweeps fast. Not part
-// of `all_models()` — it reproduces no paper figure.
+// serving tests, CI smokes and perfbench's functional-mix. Unlike the paper
+// models it has no standard-conv stem (a pointwise stem instead), so it is
+// the one zoo entry the INT8 functional path (`ModelRunner::run_i8`) can
+// execute end to end; it is also small enough that a full functional run is
+// milliseconds, which keeps queue/backpressure tests and offered-load sweeps
+// fast. Not part of `all_models()` — it reproduces no paper figure.
 ModelGraph tiny() {
   ModelGraph g;
   g.name = "Tiny";

@@ -17,7 +17,7 @@
 //    get a private registry via ScopedRegistryOverride.
 //  * The `FCM_OBS_OFF` environment variable (any non-empty value) or
 //    `set_enabled(false)` turns every instrumentation site into a cheap
-//    relaxed-load + branch — the overhead A/B in bench/serving_throughput.
+//    relaxed-load + branch, the telemetry-off side of an overhead A/B.
 #pragma once
 
 #include <atomic>
@@ -34,8 +34,8 @@
 namespace fcm::obs {
 
 /// Global instrumentation switch. Initialised once from FCM_OBS_OFF; flip at
-/// runtime with set_enabled (the bench A/B uses this). Relaxed atomics — a
-/// racing reader sees the old value for at most one observation.
+/// runtime with set_enabled. Relaxed atomics — a racing reader sees the old
+/// value for at most one observation.
 bool enabled();
 void set_enabled(bool on);
 

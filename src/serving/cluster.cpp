@@ -298,7 +298,6 @@ ServingCluster::RouteTicket ServingCluster::begin_route(
   const double now_s = clock_->now_s();
   const std::size_t n = shards_.size();
   std::vector<ShardState> states(n);
-  const bool affinity = opt_.router == RouterPolicy::kPlanAffinity;
   const bool obs_on = obs::enabled();
   const int batch = std::max(1, req.batch());
   for (std::size_t i = 0; i < n; ++i) {
@@ -306,19 +305,11 @@ ServingCluster::RouteTicket ServingCluster::begin_route(
     states[i].load = shards_[i]->load();
     states[i].load_seconds = shards_[i]->load_seconds();
     // Memo-only pricing: a forcing predict here would cold-plan the model
-    // on every shard per pick (and hand plan-affinity an all-warm lie).
+    // on every shard per pick.
     states[i].est_cost_s =
         shards_[i]
             ->try_predict_cost_s(req.model, req.dtype, batch)
             .value_or(0.0);
-    if (affinity) {
-      PlanKey key;
-      key.model = req.model;
-      key.device = shards_[i]->device().name;
-      key.dtype = req.dtype;
-      key.options = opt_.engine.plan_options;
-      states[i].plan_resident = shards_[i]->plan_cache().contains(key);
-    }
   }
   MutexLock lk(route_mu_);
   for (std::size_t i = 0; i < n; ++i) {

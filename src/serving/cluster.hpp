@@ -6,9 +6,8 @@
 // contract: submit()/submit_async() take the same ServeRequest and resolve
 // the same ServeResponse, they just gain a routing hop. The Router policy
 // (router.hpp) picks the shard per request from the shards' race-free load
-// gauges (Scheduler::load(): queued + in-flight under one lock) and, for
-// kPlanAffinity, from each shard's PlanCache residency of the request's
-// plan key.
+// gauges (Scheduler::load(): queued + in-flight under one lock, and
+// Scheduler::load_seconds(): the same backlog in predicted seconds).
 //
 // Every shard runs the full single-engine stack (PlanCache → Scheduler →
 // workers) with the cluster-wide EngineOptions; the cluster injects ONE
@@ -28,8 +27,9 @@
 // With EngineOptions::sim_dilation set, each shard's workers hold requests
 // for their simulated device time, turning the cluster into a small
 // heterogeneous serving-cluster simulator: a GTX shard genuinely drains
-// slower than an RTX shard, so join-shortest-queue routing beats blind
-// round-robin under overload (bench_serving_throughput part 6).
+// slower than an RTX shard, so seconds-based routing completes more
+// in-deadline work than round-robin or count-based routing on bursty
+// traffic (test_cluster's heterogeneous-bursts test).
 //
 // Elastic scaling (AutoscaleOptions): when enabled, the cluster holds a
 // reserve of pre-built shards beyond the device list and runs a control

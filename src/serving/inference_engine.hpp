@@ -141,8 +141,7 @@ class InferenceEngine {
   /// Memo-only variant: the prediction if this engine has already priced
   /// (model, dtype), nullopt otherwise. Never plans — a cluster router asks
   /// every shard per pick, and a forcing lookup here would cold-plan the
-  /// model on all shards (poisoning plan-affinity's warmth signal) and put
-  /// planning latency on the routing path.
+  /// model on all shards and put planning latency on the routing path.
   std::optional<double> try_predict_cost_s(const std::string& model,
                                            DType dtype, int batch)
       EXCLUDES(dry_mu_);

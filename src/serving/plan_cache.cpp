@@ -269,11 +269,6 @@ std::shared_ptr<const planner::Plan> PlanCache::get_or_plan(
   return plan;
 }
 
-bool PlanCache::contains(const PlanKey& key) const {
-  MutexLock lk(mu_);
-  return map_.find(key) != map_.end();
-}
-
 std::size_t PlanCache::size() const {
   MutexLock lk(mu_);
   return map_.size();

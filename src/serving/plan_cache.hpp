@@ -90,9 +90,6 @@ class PlanCache {
       const gpusim::DeviceSpec& dev, const ModelGraph& model, DType dt,
       const planner::PlanOptions& opt = {}) EXCLUDES(mu_);
 
-  /// True when the key is resident in memory (does not touch LRU order).
-  bool contains(const PlanKey& key) const EXCLUDES(mu_);
-
   std::size_t size() const EXCLUDES(mu_);
   std::size_t capacity() const { return capacity_; }
   const std::string& cache_dir() const { return cache_dir_; }

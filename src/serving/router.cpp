@@ -8,7 +8,6 @@ const char* router_policy_name(RouterPolicy p) {
   switch (p) {
     case RouterPolicy::kRoundRobin: return "round-robin";
     case RouterPolicy::kLeastLoaded: return "least-loaded";
-    case RouterPolicy::kPlanAffinity: return "plan-affinity";
     case RouterPolicy::kLeastRequests: return "least-requests";
   }
   return "?";
@@ -17,7 +16,6 @@ const char* router_policy_name(RouterPolicy p) {
 std::optional<RouterPolicy> router_policy_from_name(const std::string& name) {
   if (name == "round-robin") return RouterPolicy::kRoundRobin;
   if (name == "least-loaded") return RouterPolicy::kLeastLoaded;
-  if (name == "plan-affinity") return RouterPolicy::kPlanAffinity;
   if (name == "least-requests") return RouterPolicy::kLeastRequests;
   return std::nullopt;
 }
@@ -90,19 +88,6 @@ class LeastRequestsRouter final : public Router {
   }
 };
 
-class PlanAffinityRouter final : public Router {
- public:
-  RouterPolicy policy() const override { return RouterPolicy::kPlanAffinity; }
-
-  std::size_t pick(const std::vector<ShardState>& shards) override {
-    std::vector<ShardState> warm;
-    for (const ShardState& s : shards) {
-      if (s.plan_resident) warm.push_back(s);
-    }
-    return least_loaded_pick(warm.empty() ? shards : warm);
-  }
-};
-
 }  // namespace
 
 std::unique_ptr<Router> make_router(RouterPolicy p) {
@@ -111,8 +96,6 @@ std::unique_ptr<Router> make_router(RouterPolicy p) {
       return std::make_unique<RoundRobinRouter>();
     case RouterPolicy::kLeastLoaded:
       return std::make_unique<LeastLoadedRouter>();
-    case RouterPolicy::kPlanAffinity:
-      return std::make_unique<PlanAffinityRouter>();
     case RouterPolicy::kLeastRequests:
       return std::make_unique<LeastRequestsRouter>();
   }

@@ -3,12 +3,11 @@
 //
 // A ServingCluster owns one InferenceEngine per device and consults a Router
 // on every submit. The router sees one ShardState per shard — its index, its
-// admission-queue load (queued + in-flight, Scheduler::load()) and, for the
-// affinity policy, whether the shard's PlanCache already holds the request's
-// (model, device, dtype, PlanOptions) key. Policies:
+// admission-queue load (queued + in-flight, Scheduler::load()) and its
+// predicted seconds of work. Policies:
 //
 //  * kRoundRobin — a rotating cursor; exact fan-out regardless of load. The
-//    fair baseline the bench compares against.
+//    load-blind baseline the routing tests compare against.
 //  * kLeastLoaded — join-shortest-work: the shard with the least predicted
 //    seconds of outstanding work (Scheduler::load_seconds() plus the
 //    incoming request's own predicted cost where the shard has priced the
@@ -22,15 +21,11 @@
 //  * kLeastRequests — the legacy count-based join-shortest-queue (load =
 //    queued + in-flight requests, ignoring the seconds gauge). Kept as the
 //    comparison baseline for the cost-aware policy.
-//  * kPlanAffinity — cache-warmth-aware: among the shards whose PlanCache
-//    already holds the request's plan key, pick the least loaded (by
-//    seconds, as above); when no shard is warm, fall back to least-loaded
-//    over all shards (the miss will warm whichever shard wins).
 //
-// Routers are deliberately pure over ShardState (the cluster feeds loads,
-// routed counts and plan residency in) so policies unit-test without a
-// cluster; the one mutable policy — the round-robin cursor — is serialised
-// by the cluster's routing lock.
+// Routers are deliberately pure over ShardState (the cluster feeds loads and
+// routed counts in) so policies unit-test without a cluster; the one
+// mutable policy — the round-robin cursor — is serialised by the cluster's
+// routing lock.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +39,10 @@ namespace fcm::serving {
 enum class RouterPolicy : std::uint8_t {
   kRoundRobin,    ///< rotating cursor, exact fan-out
   kLeastLoaded,   ///< join-shortest-work on the shards' seconds gauges
-  kPlanAffinity,  ///< prefer plan-warm shards, fall back to least-loaded
   kLeastRequests, ///< legacy count-based join-shortest-queue (baseline)
 };
 
-/// CLI/report spelling: "round-robin", "least-loaded", "plan-affinity",
-/// "least-requests".
+/// CLI/report spelling: "round-robin", "least-loaded", "least-requests".
 const char* router_policy_name(RouterPolicy p);
 
 /// Inverse of router_policy_name; nullopt for unknown spellings (the CLI
@@ -76,8 +69,6 @@ struct ShardState {
   /// least-loaded tie-break (an all-idle cluster fans out instead of
   /// funnelling every pick into shard 0).
   std::int64_t routed = 0;
-  /// kPlanAffinity only: the shard's PlanCache holds the request's plan key.
-  bool plan_resident = false;
 };
 
 /// Strategy interface. pick() returns the chosen ShardState::index; `shards`

@@ -1,23 +1,12 @@
 #include "serving/serving_report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
 #include "common/table.hpp"
 
 namespace fcm::serving {
-
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  std::sort(xs.begin(), xs.end());
-  // Nearest-rank: smallest value with at least p% of the sample at or below.
-  const auto n = static_cast<double>(xs.size());
-  const auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-  return xs[rank == 0 ? 0 : rank - 1];
-}
 
 QueueStats queue_delta(const QueueStats& after, const QueueStats& before) {
   QueueStats d;

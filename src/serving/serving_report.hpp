@@ -1,8 +1,8 @@
 // Aggregated serving metrics: per-model request counts, host latency
 // percentiles, simulated GPU time and traffic (from runtime/report),
 // per-(dtype × batch-size) latency groups, admission-queue counters and a
-// snapshot of the plan-cache counters — the numbers fcmserve and the
-// serving-throughput bench print.
+// snapshot of the plan-cache counters — the numbers fcmserve and fcmsim
+// print.
 #pragma once
 
 #include <cstdint>
@@ -14,9 +14,6 @@
 #include "serving/plan_cache.hpp"
 
 namespace fcm::serving {
-
-/// Nearest-rank percentile of `xs` (p in [0, 100]); 0 for an empty sample.
-double percentile(std::vector<double> xs, double p);
 
 /// Admission-queue counters of an InferenceEngine (or deltas over one
 /// replay). `accepted` counts enqueues that made it into the bounded queue

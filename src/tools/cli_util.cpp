@@ -104,8 +104,7 @@ bool ClusterFlags::parse(Args& args) {
     const std::string v = args.next(arg);
     const auto parsed = serving::router_policy_from_name(v);
     if (!parsed.has_value()) {
-      args.bad_value(arg, v,
-                     "round-robin|least-loaded|least-requests|plan-affinity");
+      args.bad_value(arg, v, "round-robin|least-loaded|least-requests");
     }
     router = *parsed;
   } else if (arg == "--discipline") {
@@ -128,10 +127,13 @@ bool ClusterFlags::parse(Args& args) {
     autoscale_max = args.next_u64(arg, 1 << 10);
   } else if (arg == "--scale-up-s") {
     scale_up_s = args.next_double(arg, 1e9);
+    scale_set = true;
   } else if (arg == "--scale-down-s") {
     scale_down_s = args.next_double(arg, 1e9);
+    scale_set = true;
   } else if (arg == "--scale-cooldown-s") {
     scale_cooldown_s = args.next_double(arg, 1e9);
+    scale_set = true;
   } else if (arg == "--metrics-out") {
     metrics_out = args.next(arg);
   } else if (arg == "--trace-out") {
@@ -145,6 +147,15 @@ bool ClusterFlags::parse(Args& args) {
 void ClusterFlags::validate(const Args& args) {
   if (queue_depth < 1 || coalesce < 1) {
     args.fail("--queue-depth/--coalesce must be >= 1");
+  }
+  // A knob whose mechanism is off would be accepted and change nothing.
+  if (coalesce_wait_us > 0 && coalesce < 2) {
+    args.fail("--coalesce-wait-us requires --coalesce >= 2");
+  }
+  if (scale_set && autoscale_max == 0) {
+    args.fail(
+        "--scale-up-s/--scale-down-s/--scale-cooldown-s require "
+        "--autoscale-max");
   }
   device_names = split_csv(devices_csv);
   if (devices_set && device_names.empty()) {

@@ -81,6 +81,8 @@ struct ClusterFlags {
   /// --devices was given explicitly (it then overrides fcmserve's
   /// --device, and an empty list is an error).
   bool devices_set = false;
+  /// A --scale-* flag was given (an error without --autoscale-max).
+  bool scale_set = false;
   /// split_csv(devices_csv), set by validate().
   std::vector<std::string> device_names;
   /// Created by wire() when --trace-out asks for it.

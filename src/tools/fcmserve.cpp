@@ -45,13 +45,11 @@ void usage() {
       "                               listed device (repeats allowed, e.g.\n"
       "                               GTX,RTX,RTX), requests routed per\n"
       "                               --router; overrides --device\n"
-      "  --router <round-robin|least-loaded|least-requests|plan-affinity>\n"
+      "  --router <round-robin|least-loaded|least-requests>\n"
       "                               cluster shard selection, default\n"
       "                               round-robin (least-loaded = join the\n"
       "                               shortest predicted work in seconds;\n"
-      "                               least-requests = count-based baseline;\n"
-      "                               plan-affinity = prefer plan-warm\n"
-      "                               shards, then least-loaded)\n"
+      "                               least-requests = count-based baseline)\n"
       "  --autoscale-max <n>          elastic scaling: let the cluster grow\n"
       "                               to n shards (reserve shards clone the\n"
       "                               last device), default 0 (off)\n"

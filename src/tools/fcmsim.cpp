@@ -58,7 +58,7 @@ void usage() {
       "fcmsim replay --trace <file> [options]   simulate a trace\n"
       "  --devices <csv>              cluster shards, default RTX (repeats\n"
       "                               allowed, e.g. GTX,RTX,RTX)\n"
-      "  --router <round-robin|least-loaded|least-requests|plan-affinity>\n"
+      "  --router <round-robin|least-loaded|least-requests>\n"
       "                               shard selection, default round-robin\n"
       "  --discipline <fifo|edf>      dequeue order, default fifo\n"
       "  --queue-depth <n>            per-shard admission bound, default 64\n"

@@ -5,12 +5,9 @@
 // thrash — plus the acceptance properties: trace replays (flash crowd,
 // diurnal) show the autoscaler tracking the offered curve with at least one
 // scale event each way, outputs stay bit-identical to a single engine while
-// shards come and go, the virtual-clock replay digest matches a real-clock
-// replay of the same trace with autoscaling enabled, and seconds-based
-// least-loaded routing strictly out-serves the count-based baseline on a
-// heterogeneous GTX+RTX overload. Also the stale-snapshot regression: two
-// routing decisions with neither request enqueued yet must not dogpile the
-// same emptiest shard.
+// shards come and go, and the virtual-clock replay digest matches a
+// real-clock replay of the same trace with autoscaling enabled. Routing on
+// the same gauges is tested in test_cluster.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -190,36 +187,6 @@ TEST(Autoscale, SteadyLoadInsideTheBandDoesNotThrash) {
   EXPECT_TRUE(last.get().ok());
 }
 
-// The stale-snapshot regression (the bugfix this PR sweeps in): shard gauges
-// are sampled before the routing lock, so two decisions made before either
-// request reaches its queue used to read identical zero loads and dogpile
-// one shard. The pending-route fold must steer the second pick elsewhere.
-TEST(Autoscale, ConcurrentRouteDecisionsDoNotDogpileOneShard) {
-  ClusterOptions opt;
-  opt.engine.seed = 77;
-  opt.router = RouterPolicy::kLeastLoaded;
-  ServingCluster cluster({gpusim::rtx_a4000(), gpusim::rtx_a4000()}, opt);
-  // Price the model on both shards so the routed request's own predicted
-  // cost participates in each pick.
-  cluster.engine(0).predict_cost_s("Tiny", DType::kF32, 1);
-  cluster.engine(1).predict_cost_s("Tiny", DType::kF32, 1);
-
-  const ServeRequest req = ServeRequest::f32("Tiny", tiny_batch_f32(1, 400));
-  // Two routing decisions, neither request enqueued yet — exactly the racy
-  // window between a begin_route and its enqueue.
-  const auto t1 = cluster.begin_route(req);
-  const auto t2 = cluster.begin_route(req);
-  EXPECT_NE(t1.shard, t2.shard)
-      << "second decision ignored the first one's pending reservation";
-  EXPECT_GT(t1.est_cost_s, 0.0);
-  cluster.end_route(t1);
-  cluster.end_route(t2);
-  // Reservations lifted: the gauges are balanced again, so the next pick is
-  // free to reuse either shard.
-  const auto t3 = cluster.begin_route(req);
-  cluster.end_route(t3);
-}
-
 // Numerics acceptance: requests served while the autoscaler brings the
 // reserve shard in and out of service are bit-identical to a single engine
 // of the same device and seed — scaling never touches outputs.
@@ -338,68 +305,6 @@ TEST(Autoscale, DiurnalReplayScalesUpAndDown) {
   EXPECT_GE(report.serving_shards, 1);
   EXPECT_EQ(report.queue.accepted,
             static_cast<std::int64_t>(trace.requests.size()));
-}
-
-// Routing acceptance: on a heterogeneous GTX+RTX cluster, balancing
-// predicted seconds of work strictly out-serves balancing request counts.
-// The workload is bursty with per-request deadlines: the count policy
-// half-splits each burst, so the slow shard's tail waits ~3 GTX service
-// times and expires; the seconds policy assigns the slow shard only the
-// work it can clear inside the deadline, so every request completes. Both
-// policies are work-conserving, so sustained saturation would mask the
-// difference — deadline shedding under bursts is where cost-awareness pays.
-TEST(Autoscale, SecondsRoutingBeatsCountRoutingOnHeterogeneousBursts) {
-  // XCe is strongly compute-bound: the GTX serves it ~2.4x slower than the
-  // RTX, the heterogeneity this test exercises.
-  ServingCluster pricer({gpusim::gtx1660(), gpusim::rtx_a4000()});
-  const double s_gtx = pricer.engine(0).predict_cost_s("XCe", DType::kF32, 1);
-  const double s_rtx = pricer.engine(1).predict_cost_s("XCe", DType::kF32, 1);
-  ASSERT_LT(s_rtx, s_gtx);
-  // Premise for the deadline window below: a half-split burst's GTX tail
-  // (3 GTX services of wait) overshoots what the RTX-heavy seconds split
-  // ever waits (~5 RTX services). Holds while GTX/RTX > ~5/3.
-  ASSERT_LT(5.0 * s_rtx, 3.0 * s_gtx);
-  const double deadline_s = 0.5 * (3.0 * s_gtx + 5.0 * s_rtx);
-
-  // 20 bursts of 8 simultaneous arrivals, spaced so both shards fully
-  // drain between bursts (worst backlog is ~4 GTX services).
-  workload::Trace trace;
-  trace.name = "heterogeneous-bursts";
-  for (int b = 0; b < 20; ++b) {
-    for (int k = 0; k < 8; ++k) {
-      workload::TraceRecord r;
-      r.t_s = static_cast<double>(b) * (8.0 * s_gtx);
-      r.model = "XCe";
-      r.deadline_s = deadline_s;
-      r.seed = static_cast<std::uint64_t>(1000 + b * 8 + k);
-      trace.requests.push_back(r);
-    }
-  }
-
-  std::int64_t completed[2] = {0, 0};
-  std::int64_t expired[2] = {0, 0};
-  const RouterPolicy policies[2] = {RouterPolicy::kLeastLoaded,
-                                    RouterPolicy::kLeastRequests};
-  for (int p = 0; p < 2; ++p) {
-    auto clock = std::make_shared<ManualClock>();
-    auto cluster = replay_cluster(
-        clock, {gpusim::gtx1660(), gpusim::rtx_a4000()}, policies[p],
-        /*dilation=*/1.0, AutoscaleOptions{});
-    // Pre-price the model on both shards so cost-aware decisions start at
-    // the first burst instead of after a warmup.
-    cluster->engine(0).predict_cost_s("XCe", DType::kF32, 1);
-    cluster->engine(1).predict_cost_s("XCe", DType::kF32, 1);
-    const ServingReport report =
-        workload::sim_replay(*cluster, clock, trace, {}, nullptr);
-    completed[p] = report.queue.completed;
-    expired[p] = report.queue.expired;
-  }
-  EXPECT_GT(completed[0], completed[1])
-      << "seconds-based routing should complete strictly more than "
-         "count-based (expired: " << expired[0] << " vs " << expired[1]
-      << ")";
-  EXPECT_LT(expired[0], expired[1]);
-  EXPECT_EQ(completed[0] + expired[0], completed[1] + expired[1]);
 }
 
 // Determinism acceptance with autoscaling enabled: a virtual-clock replay

@@ -2,7 +2,9 @@
 // then the ServingCluster end to end — exact round-robin fan-out, the
 // race-free load gauge (queued + in-flight under one lock), least-loaded
 // routing around a deliberately skewed backlog on a frozen ManualClock (zero
-// real sleeps), plan-affinity pinning warm keys to their shard, per-shard
+// real sleeps), pending-route reservations that keep two concurrent picks
+// off one shard, seconds-based routing out-serving count-based and
+// round-robin routing on a heterogeneous virtual-time replay, per-shard
 // report aggregation, and the acceptance bit-identity: a homogeneous cluster
 // serves the same mix bit-identical to a single engine — routing never
 // touches numerics.
@@ -19,30 +21,32 @@
 #include "models/model_zoo.hpp"
 #include "serving/cluster.hpp"
 #include "serving/router.hpp"
+#include "workload/sim_replay.hpp"
+#include "workload/trace.hpp"
 
 namespace fcm::serving {
 namespace {
 
 ShardState shard(std::size_t index, std::size_t load,
-                 std::int64_t routed = 0, bool warm = false) {
+                 std::int64_t routed = 0) {
   ShardState s;
   s.index = index;
   s.load = load;
   s.routed = routed;
-  s.plan_resident = warm;
   return s;
 }
 
 TEST(RouterPolicy, NamesRoundTripAndRejectUnknown) {
-  for (const auto p :
-       {RouterPolicy::kRoundRobin, RouterPolicy::kLeastLoaded,
-        RouterPolicy::kPlanAffinity, RouterPolicy::kLeastRequests}) {
+  for (const auto p : {RouterPolicy::kRoundRobin, RouterPolicy::kLeastLoaded,
+                       RouterPolicy::kLeastRequests}) {
     const auto back = router_policy_from_name(router_policy_name(p));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, p);
   }
   EXPECT_FALSE(router_policy_from_name("weighted").has_value());
   EXPECT_FALSE(router_policy_from_name("").has_value());
+  // A removed policy is an unknown spelling, not a silent fallback.
+  EXPECT_FALSE(router_policy_from_name("plan-affinity").has_value());
 }
 
 TEST(Router, RoundRobinCyclesExactlyRegardlessOfLoad) {
@@ -104,28 +108,13 @@ TEST(Router, LeastLoadedDegradesToCountsWhenNothingIsPriced) {
 }
 
 // The legacy baseline ignores the seconds gauges entirely — it exists so
-// the bench and the acceptance test can compare cost-aware routing against
-// pure join-shortest-queue.
+// the heterogeneous-bursts acceptance test can compare cost-aware routing
+// against pure join-shortest-queue.
 TEST(Router, LeastRequestsIgnoresSecondsGauges) {
   auto r = make_router(RouterPolicy::kLeastRequests);
   EXPECT_EQ(r->policy(), RouterPolicy::kLeastRequests);
   EXPECT_EQ(r->pick({costed(0, 9.0, 9.0, 1), costed(1, 0.0, 0.0, 2)}), 0u);
   EXPECT_EQ(r->pick({shard(0, 3, 2), shard(1, 3, 1)}), 1u);
-}
-
-TEST(Router, PlanAffinityPrefersWarmShardsThenFallsBackLeastLoaded) {
-  auto r = make_router(RouterPolicy::kPlanAffinity);
-  EXPECT_EQ(r->policy(), RouterPolicy::kPlanAffinity);
-  // A warm shard wins even when it is the more loaded one.
-  EXPECT_EQ(r->pick({shard(0, 0), shard(1, 7, 0, true)}), 1u);
-  // Several warm shards: least loaded among them.
-  EXPECT_EQ(r->pick({shard(0, 4, 0, true), shard(1, 1, 0, true),
-                     shard(2, 0)}),
-            1u);
-  // No warm shard: plain least-loaded over everything, routed tie-break
-  // included.
-  EXPECT_EQ(r->pick({shard(0, 4), shard(1, 9), shard(2, 2)}), 2u);
-  EXPECT_EQ(r->pick({shard(0, 2, 5), shard(1, 2, 1)}), 1u);
 }
 
 /// `n` deterministic Tiny-shaped FP32 inputs seeded from `seed0`.
@@ -316,32 +305,110 @@ TEST(ServingCluster, LeastLoadedRoutesAroundASkewedBacklog) {
   for (auto& f : futs) EXPECT_TRUE(f.get().ok());
 }
 
-// Plan-affinity pins a warm (model, device, dtype, options) key to its
-// shard even when round-robin or load would choose otherwise; a key warm
-// nowhere falls back to least-loaded.
-TEST(ServingCluster, PlanAffinityRoutesWarmKeyToItsShard) {
+// The stale-snapshot regression: shard gauges are sampled before the
+// routing lock, so two decisions made before either request reaches its
+// queue used to read identical zero loads and dogpile one shard. The
+// pending-route fold must steer the second pick elsewhere.
+TEST(ServingCluster, ConcurrentRouteDecisionsDoNotDogpileOneShard) {
   ClusterOptions opt;
   opt.engine.seed = 77;
-  opt.router = RouterPolicy::kPlanAffinity;
-  ServingCluster cluster({gpusim::gtx1660(), gpusim::rtx_a4000()}, opt);
+  opt.router = RouterPolicy::kLeastLoaded;
+  ServingCluster cluster({gpusim::rtx_a4000(), gpusim::rtx_a4000()}, opt);
+  // Price the model on both shards so the routed request's own predicted
+  // cost participates in each pick.
+  cluster.engine(0).predict_cost_s("Tiny", DType::kF32, 1);
+  cluster.engine(1).predict_cost_s("Tiny", DType::kF32, 1);
 
-  cluster.engine(1).plan_for("Tiny", DType::kF32);  // warm shard 1 only
-  std::vector<std::future<ServeResponse>> futs;
-  for (int i = 0; i < 3; ++i) {
-    futs.push_back(cluster.submit_async(
-        ServeRequest::f32("Tiny", tiny_batch_f32(1, 500 + i))));
+  const ServeRequest req = ServeRequest::f32("Tiny", tiny_batch_f32(1, 400));
+  // Two routing decisions, neither request enqueued yet — exactly the racy
+  // window between a begin_route and its enqueue.
+  const auto t1 = cluster.begin_route(req);
+  const auto t2 = cluster.begin_route(req);
+  EXPECT_NE(t1.shard, t2.shard)
+      << "second decision ignored the first one's pending reservation";
+  EXPECT_GT(t1.est_cost_s, 0.0);
+  cluster.end_route(t1);
+  cluster.end_route(t2);
+  // Reservations lifted: the gauges are balanced again, so the next pick is
+  // free to reuse either shard.
+  const auto t3 = cluster.begin_route(req);
+  cluster.end_route(t3);
+}
+
+// Routing acceptance: on a heterogeneous GTX+RTX cluster, balancing
+// predicted seconds of work strictly out-serves balancing request counts
+// and blind round-robin. The workload is bursty with per-request deadlines:
+// the count and round-robin policies half-split each burst, so the slow
+// shard's tail waits ~3 GTX service times and expires; the seconds policy
+// assigns the slow shard only the work it can clear inside the deadline, so
+// every request completes. All three policies are work-conserving, so
+// sustained saturation would mask the difference — deadline shedding under
+// bursts is where cost-awareness pays.
+TEST(ServingCluster,
+     SecondsRoutingBeatsCountAndRoundRobinOnHeterogeneousBursts) {
+  // XCe is strongly compute-bound: the GTX serves it ~1.8x slower than the
+  // RTX, the heterogeneity this test exercises.
+  ServingCluster pricer({gpusim::gtx1660(), gpusim::rtx_a4000()});
+  const double s_gtx = pricer.engine(0).predict_cost_s("XCe", DType::kF32, 1);
+  const double s_rtx = pricer.engine(1).predict_cost_s("XCe", DType::kF32, 1);
+  ASSERT_LT(s_rtx, s_gtx);
+  // Premise for the deadline window below: a half-split burst's GTX tail
+  // (3 GTX services of wait) overshoots what the RTX-heavy seconds split
+  // ever waits (~5 RTX services). Holds while GTX/RTX > ~5/3.
+  ASSERT_LT(5.0 * s_rtx, 3.0 * s_gtx);
+  const double deadline_s = 0.5 * (3.0 * s_gtx + 5.0 * s_rtx);
+
+  // 20 bursts of 8 simultaneous arrivals, spaced so both shards fully
+  // drain between bursts (worst backlog is ~4 GTX services).
+  workload::Trace trace;
+  trace.name = "heterogeneous-bursts";
+  for (int b = 0; b < 20; ++b) {
+    for (int k = 0; k < 8; ++k) {
+      workload::TraceRecord r;
+      r.t_s = static_cast<double>(b) * (8.0 * s_gtx);
+      r.model = "XCe";
+      r.deadline_s = deadline_s;
+      r.seed = static_cast<std::uint64_t>(1000 + b * 8 + k);
+      trace.requests.push_back(r);
+    }
   }
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(cluster.engine(0).queue_stats().accepted, 0);
-  EXPECT_EQ(cluster.engine(1).queue_stats().accepted, 3);
 
-  // Same model, different dtype: the i8 key is warm nowhere, so the router
-  // falls back to least-loaded — which must not pick the shard that just
-  // took three affinity requests when the other is equally idle.
-  auto i8fut =
-      cluster.submit_async(ServeRequest::i8("Tiny", tiny_batch_i8(1, 600)));
-  EXPECT_TRUE(i8fut.get().ok());
-  EXPECT_EQ(cluster.engine(0).queue_stats().accepted, 1);
+  constexpr int kPolicies = 3;
+  const RouterPolicy policies[kPolicies] = {RouterPolicy::kLeastLoaded,
+                                            RouterPolicy::kLeastRequests,
+                                            RouterPolicy::kRoundRobin};
+  std::int64_t completed[kPolicies] = {};
+  std::int64_t expired[kPolicies] = {};
+  for (int p = 0; p < kPolicies; ++p) {
+    // The fcmsim replay configuration: one worker per shard holding each
+    // request for its simulated time on the virtual clock, kReject.
+    auto clock = std::make_shared<ManualClock>();
+    ClusterOptions opt;
+    opt.engine.clock = clock;
+    opt.engine.queue_workers = 1;
+    opt.engine.sim_dilation = 1.0;
+    opt.engine.virtual_hold = true;
+    opt.engine.scheduler.policy = AdmissionPolicy::kReject;
+    opt.engine.scheduler.queue_depth = 4096;
+    opt.router = policies[p];
+    ServingCluster cluster({gpusim::gtx1660(), gpusim::rtx_a4000()}, opt);
+    // Pre-price the model on both shards so cost-aware decisions start at
+    // the first burst instead of after a warmup.
+    cluster.engine(0).predict_cost_s("XCe", DType::kF32, 1);
+    cluster.engine(1).predict_cost_s("XCe", DType::kF32, 1);
+    const ServingReport report =
+        workload::sim_replay(cluster, clock, trace, {}, nullptr);
+    completed[p] = report.queue.completed;
+    expired[p] = report.queue.expired;
+  }
+  for (int p = 1; p < kPolicies; ++p) {
+    EXPECT_GT(completed[0], completed[p])
+        << "seconds-based routing should complete strictly more than "
+        << router_policy_name(policies[p]) << " (expired: " << expired[0]
+        << " vs " << expired[p] << ")";
+    EXPECT_LT(expired[0], expired[p]);
+    EXPECT_EQ(completed[0] + expired[0], completed[p] + expired[p]);
+  }
 }
 
 // Acceptance: a homogeneous cluster serves a mix bit-identical to a single

@@ -689,7 +689,8 @@ TEST(InferenceEngineScheduler, CoalescedBatchBitIdenticalToSequentialI8) {
 
 // The engine demuxes a coalesced batch into per-request responses: each
 // rider keeps its own queue wait (exact on the virtual clock) and an even
-// 1/n share of the merged batch's simulated cost.
+// 1/n share of the merged batch's simulated cost — which is less than the
+// riders would cost as single-image submits.
 TEST(InferenceEngineScheduler, CoalescedResponsesCarryPerRequestAccounting) {
   constexpr int kN = 4;
   auto clock = std::make_shared<ManualClock>();
@@ -723,6 +724,17 @@ TEST(InferenceEngineScheduler, CoalescedResponsesCarryPerRequestAccounting) {
       engine.submit(ServeRequest::f32("Tiny", tiny_batch_f32(kN, 40)));
   EXPECT_NEAR(sim_total, whole.sim_time_s, 1e-12);
   EXPECT_EQ(gma_total, whole.gma_bytes);
+  // Coalescing pays on the device: items 2..kN of the merged batch read the
+  // weights from L2. The singles run on an uncoalesced engine, since a
+  // single-image submit here would wait out the frozen window.
+  InferenceEngine uncoalesced(gpusim::jetson_orin(), EngineOptions{});
+  double singles_total = 0.0;
+  for (int i = 0; i < kN; ++i) {
+    singles_total +=
+        uncoalesced.submit(ServeRequest::f32("Tiny", tiny_batch_f32(1, 40 + i)))
+            .sim_time_s;
+  }
+  EXPECT_LT(sim_total, singles_total);
   const QueueStats st = engine.queue_stats();
   EXPECT_EQ(st.coalesced_batches, 1);
   EXPECT_EQ(st.coalesced_items, kN);

@@ -126,8 +126,6 @@ TEST(PlanCache, LruEvictsLeastRecentlyUsed) {
   cache.get_or_plan(dev, c, DType::kF32);  // evicts B
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_TRUE(cache.contains(PlanKey{"A", dev.name, DType::kF32, {}}));
-  EXPECT_FALSE(cache.contains(PlanKey{"B", dev.name, DType::kF32, {}}));
 
   // B was evicted: looking it up again replans (A and C do not).
   EXPECT_EQ(calls.load(), 3);
@@ -397,15 +395,6 @@ TEST(PlanCache, KeyRefusesOtherDevicesPlanFromDisk) {
 }
 
 TEST(ServingReport, PercentilesAndAggregates) {
-  EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 100.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 0.0), 1.0);
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) xs.push_back(i);
-  EXPECT_DOUBLE_EQ(percentile(xs, 95.0), 95.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 99.0), 99.0);
-
   ServingReport r;
   r.device = "RTX";
   r.wall_s = 2.0;
@@ -418,6 +407,10 @@ TEST(ServingReport, PercentilesAndAggregates) {
   EXPECT_EQ(r.total_requests(), 4);
   EXPECT_DOUBLE_EQ(r.throughput_rps(), 2.0);
   EXPECT_DOUBLE_EQ(r.models[0].mean_latency_s(), 0.25);
+  // Percentiles come from the latency histogram and stay inside the sample.
+  EXPECT_GE(r.models[0].p50_s(), 0.1);
+  EXPECT_LE(r.models[0].p50_s(), r.models[0].p99_s());
+  EXPECT_LE(r.models[0].p99_s(), 0.4);
   EXPECT_NE(r.table().find("Mob_v1"), std::string::npos);
   EXPECT_NE(r.summary().find("4 requests"), std::string::npos);
 }
@@ -542,11 +535,11 @@ TEST(InferenceEngine, BatchedSubmitBitIdenticalToPerItemSubmits) {
     sum_single_sim += single.sim_time_s;
     sum_single_gma += single.gma_bytes;
   }
-  // The batch's simulated time tracks the per-item sum but never exceeds it
-  // meaningfully: cross-item weight reuse (items 2..n hit L2 for a step's
-  // weights) can only shrink the batched profile's DRAM traffic.
+  // The batch beats its items' single submits on simulated time, though not
+  // by more than cross-item weight reuse can explain: items 2..n read a
+  // step's weights from L2, which only shrinks the batched DRAM traffic.
   EXPECT_GT(resp.sim_time_s, 0.25 * sum_single_sim);
-  EXPECT_LT(resp.sim_time_s, 1.05 * sum_single_sim);
+  EXPECT_LT(resp.sim_time_s, sum_single_sim);
   // And it does shrink it: batching must move strictly fewer bytes.
   EXPECT_LT(resp.gma_bytes, sum_single_gma);
 }
@@ -579,9 +572,12 @@ TEST(InferenceEngine, I8SubmitParityWithDirectRunner) {
           << "item " << i << " element " << e;
     }
   }
-  // The INT8 plan went through the cache under its own dtype key.
-  EXPECT_TRUE(engine.plan_cache().contains(
-      PlanKey{"Tiny", dev.name, DType::kI8, opt.plan_options}));
+  // The INT8 plan went through the cache under its own dtype key: looking
+  // that key up again is a hit, not a second plan.
+  PlanCache& cache = engine.plan_cache();
+  const std::int64_t misses = cache.stats().misses;
+  cache.get_or_plan(dev, model, DType::kI8, opt.plan_options);
+  EXPECT_EQ(cache.stats().misses, misses);
 }
 
 TEST(InferenceEngine, InvalidI8QuantParamsFailTheRequest) {

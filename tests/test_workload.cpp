@@ -496,9 +496,9 @@ TEST(SimReplay, VirtualHoldLatencyIsExactDilatedSimTime) {
 }
 
 // Fast-forward: hundreds of virtual seconds of trace replay in well under
-// that on the host. The bench (part 8) demonstrates the >= 100x acceptance
-// ratio on a 1M-request trace; this keeps a conservative floor so the test
-// stays green on one-core sanitizer runners.
+// that on the host. perfbench's virtual-replay workload reports the ratio
+// on a larger trace (workload.fast_forward_x); this keeps a conservative
+// floor so the test stays green on one-core sanitizer runners.
 TEST(SimReplay, FastForwardsSparseTrace) {
   GeneratorSpec spec;
   spec.kind = GeneratorKind::kPoisson;
