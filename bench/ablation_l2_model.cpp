@@ -29,10 +29,10 @@ int main() {
   Table t({"case", "speedup (no L2)", "speedup (L2)", "LBL GMA shrink",
            "FCM GMA shrink"});
   const auto cases = models::fp32_cases();
-  const auto results = bench::eval_cases(dev, cases, DType::kF32);
+  const auto grid = bench::eval_case_grid({dev}, cases, DType::kF32);
   for (std::size_t ci = 0; ci < cases.size(); ++ci) {
     const auto& c = cases[ci];
-    const auto& r = results[ci];
+    const auto& r = grid[ci][0];
     if (!r.fused) continue;
     const auto& l1 = r.decision.lbl_first.stats;
     const auto& l2s = r.decision.lbl_second.stats;

@@ -1,4 +1,4 @@
-// Shared helpers for the figure/table benches.
+// Shared helpers for the paper scorecard and the L2 ablation.
 #pragma once
 
 #include <iostream>
@@ -13,13 +13,6 @@
 #include "planner/fuse_planner.hpp"
 
 namespace fcm::bench {
-
-/// Paper device order and short labels.
-inline std::vector<std::pair<std::string, gpusim::DeviceSpec>> devices() {
-  return {{"GTX", gpusim::gtx1660()},
-          {"RTX", gpusim::rtx_a4000()},
-          {"Orin", gpusim::jetson_orin()}};
-}
 
 /// Roofline time of a kernel-stats profile.
 inline double time_of(const gpusim::DeviceSpec& dev,
@@ -49,27 +42,13 @@ inline CaseResult eval_case(const gpusim::DeviceSpec& dev,
   return r;
 }
 
-/// Evaluate every case on one device, fanned out over the global pool. Each
-/// worker writes only its own slot, so the returned order matches `cases`
-/// exactly and results are independent of the worker count.
-inline std::vector<CaseResult> eval_cases(
-    const gpusim::DeviceSpec& dev, const std::vector<models::FusionCase>& cases,
-    DType dt) {
-  std::vector<CaseResult> out(cases.size());
-  ThreadPool::global().parallel_for(
-      static_cast<std::int64_t>(cases.size()), [&](std::int64_t i) {
-        out[static_cast<std::size_t>(i)] =
-            eval_case(dev, cases[static_cast<std::size_t>(i)], dt);
-      });
-  return out;
-}
-
 /// Evaluate the full case × device grid in parallel; result[c][d] is
-/// cases[c] on devices()[d]. The figure benches iterate this grid — one flat
-/// parallel_for keeps all cores busy even when one device/case dominates.
+/// cases[c] on devs[d]. One flat parallel_for keeps all cores busy even when
+/// one device/case dominates; each worker writes only its own slot, so the
+/// result is independent of the worker count.
 inline std::vector<std::vector<CaseResult>> eval_case_grid(
+    const std::vector<gpusim::DeviceSpec>& devs,
     const std::vector<models::FusionCase>& cases, DType dt) {
-  const auto devs = devices();
   std::vector<std::vector<CaseResult>> out(
       cases.size(), std::vector<CaseResult>(devs.size()));
   ThreadPool::global().parallel_for(
@@ -77,7 +56,7 @@ inline std::vector<std::vector<CaseResult>> eval_case_grid(
       [&](std::int64_t i) {
         const std::size_t c = static_cast<std::size_t>(i) / devs.size();
         const std::size_t d = static_cast<std::size_t>(i) % devs.size();
-        out[c][d] = eval_case(devs[d].second, cases[c], dt);
+        out[c][d] = eval_case(devs[d], cases[c], dt);
       });
   return out;
 }

@@ -1,7 +1,7 @@
 // Integration tests asserting the paper's headline result *shapes* hold
 // end-to-end on the simulated devices:
-//  * FCMs beat LBL on most fusion cases (Fig. 6/7), with larger average
-//    gains under INT8,
+//  * FCMs beat LBL on most fusion cases (Fig. 6/7), with an INT8 average
+//    gain no more than 0.15 below the FP32 one,
 //  * FCMs and our LBL both beat the best cuDNN-like algorithm (Fig. 9),
 //  * full-model FCM plans beat the TVM-like compiler on time and energy
 //    (Fig. 10/11).
@@ -61,7 +61,10 @@ TEST(Integration, Int8AverageSpeedupAtLeastF32Like) {
     }
     return sum / n;
   };
-  // Paper: average 1.3× (FP32) vs 1.4× (INT8). Allow slack, require order.
+  // Paper: average 1.3× (FP32) vs 1.4× (INT8), INT8 higher. This does not
+  // check that order: it passes while the INT8 average over every cell with
+  // a feasible FCM is at most 0.15 below FP32's. Here it is 1.51× against
+  // 1.59×, so the paper's order does not hold (README "Fidelity").
   EXPECT_GE(avg_speedup(DType::kI8) + 0.15, avg_speedup(DType::kF32));
 }
 
